@@ -169,28 +169,12 @@ func (h *Heap) publishLocked() error {
 	return nil
 }
 
-// writeBoxHeaderLocked writes the next header generation into the current
-// A/B slot (best-effort — a failed write leaves the previous generation
-// valid) and flips the slot. Caller holds bbMu.
+// writeBoxHeaderLocked writes the next header generation (best-effort — a
+// failed write leaves the previous generation valid). Caller holds bbMu.
 func (h *Heap) writeBoxHeaderLocked() {
-	arena := h.lay.boxArena()
-	buf := plog.EncodeBoxHeader(plog.BoxHeader{
-		Gen:     h.bbHdrGen,
-		Epoch:   h.bbEpoch,
-		NextSeq: h.bbSeq,
-	})
 	h.grant(h.bbThread)
 	defer h.revoke(h.bbThread)
-	w := h.bbWin
-	if w.Write(arena.HeaderOff(h.bbSlot), buf[:]) != nil {
-		return
-	}
-	if w.Flush(arena.HeaderOff(h.bbSlot), plog.BoxHeaderSize) != nil {
-		return
-	}
-	w.Fence()
-	h.bbHdrGen++
-	h.bbSlot = 1 - h.bbSlot
+	_ = h.bbHdr.Write(h.bbWin, []uint64{h.bbEpoch, h.bbSeq})
 }
 
 // initBlackboxFresh arms the recorder on a just-formatted image: boot epoch
@@ -202,8 +186,6 @@ func (h *Heap) initBlackboxFresh() {
 	h.bbMu.Lock()
 	defer h.bbMu.Unlock()
 	h.bbEpoch = 1
-	h.bbHdrGen = 1
-	h.bbSlot = 0
 	h.bbOn = true
 	h.writeBoxHeaderLocked()
 }
@@ -232,14 +214,7 @@ func (h *Heap) loadBlackboxLocked() string {
 	defer h.bbMu.Unlock()
 	arena := h.lay.boxArena()
 
-	var hdrs [plog.BoxSlots][]byte
-	for i := range hdrs {
-		buf := make([]byte, plog.BoxHeaderSize)
-		if h.bbRead(arena.HeaderOff(i), buf) == nil {
-			hdrs[i] = buf
-		}
-	}
-	hdr, slot, hdrTorn := plog.AdoptBoxHeader(hdrs[0], hdrs[1])
+	hdr, hdrTorn := h.bbHdr.Load(h.bbRead, nil)
 
 	region := make([]byte, arena.Capacity()*plog.BoxRecordSize)
 	if err := h.bbRead(arena.RecordsOff(), region); err != nil {
@@ -255,20 +230,12 @@ func (h *Heap) loadBlackboxLocked() string {
 	if len(recs) > 0 {
 		h.bbSeq = recs[len(recs)-1].Seq + 1
 	}
-	if slot >= 0 {
-		h.bbEpoch = hdr.Epoch + 1
-		h.bbHdrGen = hdr.Gen + 1
-		h.bbSlot = 1 - slot
-		if hdr.NextSeq > h.bbSeq {
-			h.bbSeq = hdr.NextSeq
-		}
-	} else {
-		// No valid header (fresh pre-recorder arena, or both slots torn):
-		// restart the generations but keep writing after the surviving
-		// records.
-		h.bbEpoch = 1
-		h.bbHdrGen = 1
-		h.bbSlot = 0
+	// No valid header (fresh pre-recorder arena, or both slots torn)
+	// restarts the epochs but keeps writing after the surviving records.
+	h.bbEpoch = 1
+	if hdr != nil {
+		h.bbEpoch = hdr[0] + 1
+		h.bbSeq = max(h.bbSeq, hdr[1])
 	}
 	h.bbOn = true
 	h.writeBoxHeaderLocked()

@@ -97,13 +97,12 @@ type Heap struct {
 
 	// Profile persistence state (profile.go): a dedicated window writes
 	// side-table snapshots under profMu; profEpoch is the current boot
-	// epoch; profSeq/profSlot name the next snapshot generation and A/B
-	// slot; profPace counts sampled allocs to pace background persists.
+	// epoch; profHdr is the snapshot header pair; profPace counts sampled
+	// allocs to pace background persists.
 	profMu     sync.Mutex
 	profThread *mpk.Thread
 	profWin    mpk.Window
-	profSeq    uint64
-	profSlot   int
+	profHdr    plog.GenSlots
 	profEpoch  uint64
 	profWrote  bool // a snapshot generation exists (written or recovered)
 	profPace   atomic.Uint64
@@ -111,8 +110,8 @@ type Heap struct {
 	// Black-box flight recorder state (blackbox.go): a dedicated window
 	// publishes staged event/span records into the persistent ring under
 	// bbMu; bbEpoch is the boot epoch (monotone across restarts), bbSeq the
-	// next record sequence, bbHdrGen/bbSlot the next header generation and
-	// A/B slot. bbRecovered holds the timeline replayed from the image at
+	// next record sequence, bbHdr the boot-metadata header pair.
+	// bbRecovered holds the timeline replayed from the image at
 	// load for post-mortem rendering.
 	bbMu        sync.Mutex
 	bbThread    *mpk.Thread
@@ -120,8 +119,7 @@ type Heap struct {
 	bbOn        bool
 	bbEpoch     uint64
 	bbSeq       uint64
-	bbHdrGen    uint64
-	bbSlot      int
+	bbHdr       plog.GenSlots
 	bbStaged    []plog.BoxRecord
 	bbSpanSeq   uint64 // tracer sequence high-water already mirrored
 	bbRecovered []plog.BoxRecord
@@ -171,7 +169,6 @@ func Create(opts Options) (*Heap, error) {
 	// first seen before the current epoch, so epoch 0 is reserved for
 	// "never recorded".
 	h.profEpoch = 1
-	h.profSeq = 1
 	h.prof.SetEpoch(1)
 	h.initBlackboxFresh()
 	h.recomputeHealth()
@@ -271,7 +268,8 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 			return nil, err
 		}
 	}
-	h := &Heap{dev: dev, unit: unit, lay: lay, opts: opts, tel: opts.Telemetry}
+	h := &Heap{dev: dev, unit: unit, lay: lay, opts: opts, tel: opts.Telemetry,
+		profHdr: lay.profArena().Headers(), bbHdr: lay.boxArena().Headers()}
 	h.sbThread = unit.NewThread(defaultRights(opts))
 	h.sbWin = mpk.NewWindow(dev, h.sbThread)
 	if h.tel != nil {

@@ -14,14 +14,13 @@ import (
 // re-derivable by walking the table, but the level count and list anchors
 // are authoritative only in the header, so they get a second copy.
 //
-// Two slots alternate (A/B): an update always overwrites the slot NOT
-// holding the latest valid image, so a crash mid-update tears at most the
-// older copy. Each slot carries a monotonic sequence number and a checksum
-// over every word; loads take the valid slot with the highest sequence.
-// Updates are paced (every mirrorInterval committed mutations, plus every
-// structural commit point) and strictly best-effort: a failed or skipped
-// update just leaves an older — still self-consistent — image behind, and
-// repair audits the restored state before trusting it.
+// The two mirror slots form a plog.GenSlots pair whose body is the level
+// count, the class count and a head/tail pair per class; the geometry,
+// level and anchor checks below are the pair's body check. Updates are
+// paced (every mirrorInterval committed mutations, plus every structural
+// commit point) and strictly best-effort: a failed or skipped update just
+// leaves an older — still self-consistent — image behind, and repair
+// audits the restored state before trusting it.
 
 const (
 	// mirrorMagic is "PSMIRROR" little endian.
@@ -35,39 +34,15 @@ const (
 
 // mirrorImage is a decoded mirror slot.
 type mirrorImage struct {
-	seq    uint64
 	levels int
 	lists  [][2]uint64 // per class: head, tail
-}
-
-// mirrorWords returns the slot's word count: magic, seq, levels, classes,
-// head/tail per class, checksum.
-func (s *subheap) mirrorWords() int {
-	return 5 + 2*s.mgr.Geometry().NumClasses
 }
 
 // mirrorEnabled reports whether the summary fits a mirror slot. With the
 // geometry bounds in layout.go this is always true today; the guard keeps a
 // future geometry change from silently writing past the slot.
 func (s *subheap) mirrorEnabled() bool {
-	return uint64(s.mirrorWords())*8 <= shMirrorSlotSize
-}
-
-// mirrorSlotBase returns the device offset of mirror slot i.
-func (s *subheap) mirrorSlotBase(i int) uint64 {
-	return s.base + shMirrorOff + uint64(i)*shMirrorSlotSize
-}
-
-// mirrorChecksum folds the slot's body words into the check word
-// (splitmix64-style avalanche per word, same family as the ring's check).
-func mirrorChecksum(words []uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xFF51AFD7ED558CCD
-		h ^= h >> 33
-	}
-	return h
+	return s.mirror.Size() <= shMirrorSlotSize
 }
 
 // mirrorAnchorValid reports whether a free-list anchor read from the live
@@ -96,11 +71,8 @@ func (s *subheap) updateMirrorLocked() error {
 	if err != nil {
 		return err // corrupt or unreadable level count: keep the old image
 	}
-	words := make([]uint64, s.mirrorWords())
-	words[0] = mirrorMagic
-	words[1] = s.mirrorSeq + 1
-	words[2] = uint64(levels)
-	words[3] = uint64(g.NumClasses)
+	body := make([]uint64, 2, 2+2*g.NumClasses)
+	body[0], body[1] = uint64(levels), uint64(g.NumClasses)
 	for c := 0; c < g.NumClasses; c++ {
 		head, err := s.mgr.FreeHead(s.win, c)
 		if err != nil {
@@ -113,95 +85,43 @@ func (s *subheap) updateMirrorLocked() error {
 		if !s.mirrorAnchorValid(head) || !s.mirrorAnchorValid(tail) {
 			return fmt.Errorf("%w: free-list anchor of class %d out of bounds", ErrCorruptHeap, c)
 		}
-		words[4+2*c] = head
-		words[4+2*c+1] = tail
+		body = append(body, head, tail)
 	}
-	words[len(words)-1] = mirrorChecksum(words[:len(words)-1])
-
-	slot := s.mirrorSlotBase(int((s.mirrorSeq + 1) % shMirrorSlots))
-	for i, w := range words {
-		if err := s.win.WriteU64(slot+uint64(i)*8, w); err != nil {
-			return err
-		}
-	}
-	if err := s.win.Flush(slot, uint64(len(words))*8); err != nil {
-		return err
-	}
-	s.win.Fence()
-	s.mirrorSeq++
-	return nil
+	return s.mirror.Write(s.win, body)
 }
 
-// loadMirrorLocked reads both mirror slots and returns the valid image with
-// the highest sequence number, or nil if neither slot validates (fresh
-// image, torn first update, or corrupted header page). Caller holds s.mu
-// with the window granted.
-func (s *subheap) loadMirrorLocked() (*mirrorImage, error) {
-	if !s.mirrorEnabled() {
-		return nil, nil
-	}
-	g := s.mgr.Geometry()
-	n := s.mirrorWords()
-	var best *mirrorImage
-	for i := 0; i < shMirrorSlots; i++ {
-		base := s.mirrorSlotBase(i)
-		words := make([]uint64, n)
-		readErr := false
-		for j := range words {
-			w, err := s.win.ReadU64(base + uint64(j)*8)
-			if err != nil {
-				if quarantinable(err) {
-					readErr = true // unreadable slot: treat as invalid
-					break
-				}
-				return nil, err
-			}
-			words[j] = w
-		}
-		if readErr {
-			continue
-		}
-		if words[0] != mirrorMagic ||
-			words[n-1] != mirrorChecksum(words[:n-1]) ||
-			words[3] != uint64(g.NumClasses) ||
-			words[2] < 1 || words[2] > uint64(len(g.LevelCap)) {
-			continue
-		}
-		img := &mirrorImage{
-			seq:    words[1],
-			levels: int(words[2]),
-			lists:  make([][2]uint64, g.NumClasses),
-		}
-		ok := true
-		for c := 0; c < g.NumClasses; c++ {
-			head, tail := words[4+2*c], words[4+2*c+1]
-			if !s.mirrorAnchorValid(head) || !s.mirrorAnchorValid(tail) ||
-				(head == 0) != (tail == 0) {
-				ok = false
-				break
-			}
-			img.lists[c] = [2]uint64{head, tail}
-		}
-		if !ok {
-			continue
-		}
-		if best == nil || img.seq > best.seq {
-			best = img
-		}
-	}
-	return best, nil
-}
-
-// seedMirrorSeq aligns the in-DRAM sequence counter with the newest valid
-// on-device image so the next update targets the stale slot. Caller holds
+// loadMirrorLocked returns the newest mirror image that passes the body
+// check, or nil if none does (fresh image, torn first update, or corrupted
+// header page), and aims the next update at the other slot. Caller holds
 // s.mu with the window granted.
-func (s *subheap) seedMirrorSeq() {
-	img, err := s.loadMirrorLocked()
-	if err != nil || img == nil {
-		s.mirrorSeq = 0
-		return
+func (s *subheap) loadMirrorLocked() *mirrorImage {
+	if !s.mirrorEnabled() {
+		return nil
 	}
-	s.mirrorSeq = img.seq
+	var img *mirrorImage
+	s.mirror.Load(s.win.Read, func(_ int, _ uint64, body []uint64) bool {
+		img = s.decodeMirror(body)
+		return img != nil
+	})
+	return img
+}
+
+// decodeMirror applies the body check: the geometry must match and the
+// level count and every anchor pair must be plausible. nil on failure.
+func (s *subheap) decodeMirror(body []uint64) *mirrorImage {
+	g := s.mgr.Geometry()
+	if body[1] != uint64(g.NumClasses) || body[0] < 1 || body[0] > uint64(len(g.LevelCap)) {
+		return nil
+	}
+	img := &mirrorImage{levels: int(body[0]), lists: make([][2]uint64, g.NumClasses)}
+	for c := range img.lists {
+		head, tail := body[2+2*c], body[3+2*c]
+		if !s.mirrorAnchorValid(head) || !s.mirrorAnchorValid(tail) || (head == 0) != (tail == 0) {
+			return nil
+		}
+		img.lists[c] = [2]uint64{head, tail}
+	}
+	return img
 }
 
 // restoreMirrorLocked stages the mirrored level count and free-list anchors

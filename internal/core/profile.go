@@ -7,11 +7,12 @@ package core
 //
 // Crash-consistency of the side-table (see internal/plog/sites.go for the
 // format): snapshots alternate between two slots, payload-then-header with
-// a fence between, so the newest VALID slot is always a complete snapshot
-// from some earlier moment — a crash can lose at most the generation being
-// written. A table where neither slot validates on a non-blank arena is
-// torn; that is detected at Load, journalled (EventProfileReset), and the
-// profile simply starts fresh. The side-table carries no allocator
+// a fence between (the headers are a plog.GenSlots pair), so the newest
+// VALID slot is always a complete snapshot from some earlier moment — a
+// crash can lose at most the generation being written. A table where
+// neither slot validates on a non-blank arena is torn; that is detected at
+// Load, journalled (EventProfileReset), and the profile simply starts
+// fresh. The side-table carries no allocator
 // metadata, so a torn table can never quarantine a sub-heap or affect
 // allocation correctness.
 
@@ -53,7 +54,6 @@ func (h *Heap) loadProfile() {
 		return
 	}
 	h.profEpoch = 1
-	h.profSeq = 1
 	arena := h.lay.profArena()
 	if !arena.Valid() {
 		// Pre-profiler image: no arena. Profiles aggregate in DRAM only.
@@ -61,48 +61,19 @@ func (h *Heap) loadProfile() {
 		return
 	}
 
-	type slotState struct {
-		hdr   plog.SiteHeader
-		blob  []byte
-		valid bool
-		blank bool
+	read := func(off uint64, b []byte) error {
+		return h.retry(func() error { return h.profWin.Read(off, b) })
 	}
-	var slots [plog.SiteSlots]slotState
-	for i := range slots {
-		var hdrBuf [plog.SiteHeaderSize]byte
-		if err := h.retry(func() error { return h.profWin.Read(arena.HeaderOff(i), hdrBuf[:]) }); err != nil {
-			continue // unreadable counts as neither blank nor valid
+	var blob []byte
+	hdr, torn := h.profHdr.Load(read, func(slot int, gen uint64, body []uint64) bool {
+		if body[0] > arena.PayloadCap() {
+			return false
 		}
-		blank := true
-		for _, b := range hdrBuf {
-			if b != 0 {
-				blank = false
-				break
-			}
-		}
-		slots[i].blank = blank
-		hdr, ok := plog.DecodeSiteHeader(hdrBuf[:])
-		if !ok || hdr.PayloadLen > arena.PayloadCap() {
-			continue
-		}
-		blob := make([]byte, hdr.PayloadLen)
-		if err := h.retry(func() error { return h.profWin.Read(arena.PayloadOff(i), blob) }); err != nil {
-			continue
-		}
-		if plog.SiteChecksum(hdr.Seq, blob) != hdr.Checksum {
-			continue
-		}
-		slots[i] = slotState{hdr: hdr, blob: blob, valid: true, blank: false}
-	}
-
-	best := -1
-	for i, s := range slots {
-		if s.valid && (best < 0 || s.hdr.Seq > slots[best].hdr.Seq) {
-			best = i
-		}
-	}
-	if best < 0 {
-		if !slots[0].blank || !slots[1].blank {
+		blob = make([]byte, body[0])
+		return read(arena.PayloadOff(slot), blob) == nil && plog.Checksum(gen, blob) == body[1]
+	})
+	if hdr == nil {
+		if torn {
 			// Non-blank arena, no valid snapshot: the table is torn. Reset
 			// the (empty) profile and journal it; allocation correctness is
 			// untouched — the side-table holds no allocator metadata.
@@ -114,7 +85,7 @@ func (h *Heap) loadProfile() {
 		return
 	}
 
-	recs, err := plog.DecodeSites(slots[best].blob)
+	recs, err := plog.DecodeSites(blob)
 	if err != nil {
 		h.prof.Reset()
 		h.tel.Emit(obs.EventProfileReset, -1,
@@ -123,9 +94,7 @@ func (h *Heap) loadProfile() {
 		return
 	}
 	h.prof.AdoptRecovered(siteRecordsToStats(recs))
-	h.profEpoch = slots[best].hdr.Epoch + 1
-	h.profSeq = slots[best].hdr.Seq + 1
-	h.profSlot = 1 - best
+	h.profEpoch = hdr[2] + 1
 	h.profWrote = true
 	h.prof.SetEpoch(h.profEpoch)
 }
@@ -217,13 +186,7 @@ func (h *Heap) persistProfileLocked() error {
 	}
 	arena := h.lay.profArena()
 	blob, _ := plog.EncodeSites(siteStatsToRecords(sites), arena.PayloadCap())
-	hdr := plog.EncodeSiteHeader(plog.SiteHeader{
-		Seq:        h.profSeq,
-		PayloadLen: uint64(len(blob)),
-		Checksum:   plog.SiteChecksum(h.profSeq, blob),
-		Epoch:      h.profEpoch,
-	})
-	slot := h.profSlot
+	slot, gen := h.profHdr.Next()
 
 	h.grant(h.profThread)
 	defer h.revoke(h.profThread)
@@ -239,16 +202,9 @@ func (h *Heap) persistProfileLocked() error {
 		return err
 	}
 	w.Fence()
-	if err := w.Write(arena.HeaderOff(slot), hdr[:]); err != nil {
+	if err := h.profHdr.Write(w, []uint64{uint64(len(blob)), plog.Checksum(gen, blob), h.profEpoch}); err != nil {
 		return err
 	}
-	if err := w.Flush(arena.HeaderOff(slot), plog.SiteHeaderSize); err != nil {
-		return err
-	}
-	w.Fence()
-
-	h.profSeq++
-	h.profSlot = 1 - slot
 	h.profWrote = true
 	h.prof.NotePersisted()
 	return nil

@@ -308,6 +308,53 @@ func TestProfileTornTableResetsOnly(t *testing.T) {
 // profiler pointer (the magazine fast path pays one nil check and nothing
 // else), nothing is sampled, and the ClassProfile attribution bucket stays
 // at zero — no profile I/O ever reaches the device.
+// TestProfileHeaderEpochFlipFallsBack flips one bit of the newest snapshot
+// header's epoch word. The header check covers the epoch, so Load must
+// reject that header and adopt the older generation instead of booting
+// from a corrupted epoch.
+func TestProfileHeaderEpochFlipFallsBack(t *testing.T) {
+	h := newProfHeap(t, 1, 0)
+	persistOne := func(h *Heap) {
+		th := newThread(t, h)
+		if _, err := th.Alloc(100); err != nil {
+			t.Fatal(err)
+		}
+		th.Close()
+		if err := h.PersistProfile(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	persistOne(h) // generation 1, epoch 1
+	if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := Load(h.Device(), profOptions(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	olderEpoch := h2.ProfileEpoch() - 1
+	newest, _ := h2.profHdr.Next()
+	persistOne(h2) // generation 2, epoch 2
+	const epochWord = 4
+	if err := h2.Device().InjectBitFlip(h2.lay.profArena().HeaderOff(newest)+8*epochWord, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h2.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+		t.Fatal(err)
+	}
+	h3, err := Load(h2.Device(), profOptions(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h3.ProfileEpoch(); got != olderEpoch+1 {
+		t.Fatalf("epoch after flipped newest header = %d, want older epoch %d + 1", got, olderEpoch)
+	}
+	if n := h3.Telemetry().Snapshot().Events.ByKind["profile_reset"]; n != 0 {
+		t.Fatalf("profile_reset events = %d, want 0 (older generation intact)", n)
+	}
+	requireServiceable(t, h3)
+}
+
 func TestProfileRateZeroOffPath(t *testing.T) {
 	h := newProfHeap(t, 0, 0)
 	th := newThread(t, h)

@@ -164,9 +164,7 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 	s.ready = true
 
 	// Strategy 1: mirror restore, audited before it counts.
-	if img, merr := s.loadMirrorLocked(); merr != nil {
-		return false, merr
-	} else if img != nil {
+	if img := s.loadMirrorLocked(); img != nil {
 		if rerr := s.restoreMirrorLocked(img); rerr == nil {
 			if rep, cerr := s.checkLocked(false); cerr == nil && len(rep.Problems) == 0 {
 				mirrored = true
@@ -196,7 +194,6 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 		return mirrored, err
 	}
 	s.seedGauges()
-	s.seedMirrorSeq()
 	_ = s.updateMirrorLocked()
 
 	// Everything above is durable (batch commits flush+fence); only now may

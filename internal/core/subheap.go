@@ -79,10 +79,9 @@ type subheap struct {
 	quarantined atomic.Bool
 	qreason     atomic.Value
 
-	// mirrorSeq is the sequence number of the newest valid on-device
-	// metadata mirror image (mirror.go); mutations counts committed
-	// mutations to pace refreshes. DRAM-only, guarded by mu.
-	mirrorSeq uint64
+	// mirror is the metadata mirror's A/B pair (mirror.go); mutations
+	// counts committed mutations to pace refreshes. Guarded by mu.
+	mirror    plog.GenSlots
 	mutations uint64
 
 	// comb is the DRAM flat-combining array (combine.go), non-nil only
@@ -225,6 +224,7 @@ func newSubheap(h *Heap, id int) (*subheap, error) {
 	}
 	s.win = mpk.NewWindow(h.dev, s.thread)
 	s.ring = memblock.NewRing(h.lay.ringBase(id))
+	s.mirror = plog.NewGenSlots(s.base+shMirrorOff, shMirrorSlotSize, mirrorMagic, 2+2*g.NumClasses)
 	if h.opts.CombinedCommits {
 		s.comb = make([]atomic.Pointer[combineOp], combineSlots)
 	}
@@ -295,7 +295,7 @@ func (s *subheap) recoverLogs() error {
 	if err := s.open(true); err != nil {
 		return err
 	}
-	s.seedMirrorSeq()
+	s.loadMirrorLocked()
 	if err := s.replayRingLocked(); err != nil {
 		return err
 	}
@@ -363,7 +363,7 @@ func (s *subheap) ensureReady() error {
 		if err := s.open(!s.h.rawAttach); err != nil {
 			return err
 		}
-		s.seedMirrorSeq()
+		s.loadMirrorLocked()
 		if !s.h.rawAttach {
 			if err := s.replayRingLocked(); err != nil {
 				return err
@@ -445,7 +445,6 @@ func (s *subheap) format() error {
 		s.ring.Arm()
 	}
 	// First mirror image of the freshly formatted header (best-effort).
-	s.mirrorSeq = 0
 	_ = s.updateMirrorLocked()
 	return nil
 }

@@ -1,6 +1,10 @@
 package memblock
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"poseidon/internal/plog"
+)
 
 // Remote-free ring: a fixed-capacity MPSC queue of pending cross-sub-heap
 // frees, persisted inside the owning sub-heap's protected metadata region
@@ -23,7 +27,7 @@ import "sync/atomic"
 //	bits  0..43  rel+1 — block offset relative to the user region base,
 //	             biased by one so a valid entry is never the zero word
 //	bits 44..47  epoch — low bits of the producer's ticket (diagnostics)
-//	bits 48..63  checksum over bits 0..47
+//	bits 48..63  checksum over bits 0..47: the top 16 bits of plog.Mix64(body)
 const (
 	// RingSlots is the ring capacity. 32 slots bounds the un-drained
 	// backlog a crash can leave while keeping the ring + header word well
@@ -46,30 +50,19 @@ const (
 	MaxRingRel = ringRelMask - 1
 )
 
-// ringChecksum mixes the entry body into a 16-bit check value
-// (splitmix64's finalizer — every input bit avalanches, so a single bit
-// flip in body or checksum is detected).
-func ringChecksum(body uint64) uint64 {
-	x := body + 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
-	return x >> 48
-}
-
 // EncodeRingEntry packs a relative block offset and producer epoch into
 // one slot word. rel must be ≤ MaxRingRel. The result is never zero (the
 // offset field is biased by one), so the zero word always means "empty".
 func EncodeRingEntry(rel uint64, epoch uint8) uint64 {
 	body := (rel + 1) | uint64(epoch&ringEpochMask)<<ringRelBits
-	return body | ringChecksum(body)<<(ringRelBits+ringEpochBits)
+	return body | plog.Mix64(body)&^ringBodyMask
 }
 
 // DecodeRingEntry unpacks a non-zero slot word. ok is false when the
 // checksum does not match the body — a corrupt entry.
 func DecodeRingEntry(word uint64) (rel uint64, epoch uint8, ok bool) {
 	body := word & ringBodyMask
-	if word>>(ringRelBits+ringEpochBits) != ringChecksum(body) || body&ringRelMask == 0 {
+	if word != body|plog.Mix64(body)&^ringBodyMask || body&ringRelMask == 0 {
 		return 0, 0, false
 	}
 	return body&ringRelMask - 1, uint8(body >> ringRelBits & ringEpochMask), true

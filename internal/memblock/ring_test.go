@@ -3,6 +3,8 @@ package memblock
 import (
 	"math/rand"
 	"testing"
+
+	"poseidon/internal/plog"
 )
 
 func TestRingEntryRoundTrip(t *testing.T) {
@@ -58,7 +60,7 @@ func TestRingEntrySingleBitFlipDetected(t *testing.T) {
 func TestRingDecodeRejectsZeroBody(t *testing.T) {
 	// A word whose offset field is all-zero cannot be a valid entry even if
 	// its checksum matches (the bias guarantees valid bodies are nonzero).
-	if _, _, ok := DecodeRingEntry(ringChecksum(0) << (ringRelBits + ringEpochBits)); ok {
+	if _, _, ok := DecodeRingEntry(plog.Mix64(0) &^ ringBodyMask); ok {
 		t.Fatal("zero-body word decoded as valid")
 	}
 }

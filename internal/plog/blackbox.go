@@ -14,8 +14,8 @@ import (
 //	+64     header slot B (one cacheline)
 //	+128    record ring: capacity() slots of BoxRecordSize bytes each
 //
-// The header follows the profile side-table's A/B discipline, but its role
-// differs: it is NOT the publish commit point. Each ring record is
+// The header is a GenSlots pair (genslots.go) with body {epoch, nextSeq},
+// but it is NOT the publish commit point. Each ring record is
 // individually self-checksummed and sequence-congruent (record seq s lives
 // at slot s % capacity, always), so a batch of records becomes durable with
 // one flush pass over the written range and a single fence — no header
@@ -48,13 +48,6 @@ const (
 	// BoxSpan carries a sampled op span; Kind is the obs.Op.
 	BoxSpan uint8 = 2
 )
-
-// BoxHeader is the decoded A/B header slot.
-type BoxHeader struct {
-	Gen     uint64 // header generation; newest valid slot wins
-	Epoch   uint64 // boot epoch the writer was on
-	NextSeq uint64 // record-sequence high-water at header write
-}
 
 // BoxRecord is one decoded flight-recorder entry.
 type BoxRecord struct {
@@ -94,66 +87,15 @@ func (a BoxArena) Capacity() uint64 {
 // HeaderOff returns the device offset of header slot i.
 func (a BoxArena) HeaderOff(i int) uint64 { return a.base + uint64(i)*BoxHeaderSize }
 
+// Headers returns the header pair: body {epoch, nextSeq}.
+func (a BoxArena) Headers() GenSlots { return NewGenSlots(a.base, BoxHeaderSize, BoxMagic, 2) }
+
 // RecordsOff returns the device offset of record slot 0.
 func (a BoxArena) RecordsOff() uint64 { return a.base + BoxSlots*BoxHeaderSize }
 
 // SlotOff returns the device offset of the slot record seq occupies.
 func (a BoxArena) SlotOff(seq uint64) uint64 {
 	return a.RecordsOff() + (seq%a.Capacity())*BoxRecordSize
-}
-
-// EncodeBoxHeader serializes a header slot. The checksum is seeded with the
-// generation, so a stale slot can never validate against a newer payload.
-func EncodeBoxHeader(h BoxHeader) [BoxHeaderSize]byte {
-	var buf [BoxHeaderSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], BoxMagic)
-	binary.LittleEndian.PutUint64(buf[8:], h.Gen)
-	binary.LittleEndian.PutUint64(buf[16:], h.Epoch)
-	binary.LittleEndian.PutUint64(buf[24:], h.NextSeq)
-	binary.LittleEndian.PutUint64(buf[32:], SiteChecksum(h.Gen, buf[16:32]))
-	return buf
-}
-
-// DecodeBoxHeader validates and decodes a header slot. ok is false when the
-// magic or checksum does not match — a blank slot, a torn write, or foreign
-// bytes all decode identically as "not a header".
-func DecodeBoxHeader(buf []byte) (BoxHeader, bool) {
-	if len(buf) < BoxHeaderSize {
-		return BoxHeader{}, false
-	}
-	if binary.LittleEndian.Uint64(buf[0:]) != BoxMagic {
-		return BoxHeader{}, false
-	}
-	h := BoxHeader{
-		Gen:     binary.LittleEndian.Uint64(buf[8:]),
-		Epoch:   binary.LittleEndian.Uint64(buf[16:]),
-		NextSeq: binary.LittleEndian.Uint64(buf[24:]),
-	}
-	if binary.LittleEndian.Uint64(buf[32:]) != SiteChecksum(h.Gen, buf[16:32]) {
-		return BoxHeader{}, false
-	}
-	return h, true
-}
-
-// AdoptBoxHeader picks the boot header from the two slots: the valid slot
-// with the highest generation. torn reports that at least one slot held
-// non-blank bytes that failed validation AND no valid slot existed — a
-// fresh (all-blank) arena is not torn.
-func AdoptBoxHeader(slots ...[]byte) (best BoxHeader, slot int, torn bool) {
-	slot = -1
-	dirty := false
-	for i, buf := range slots {
-		if h, ok := DecodeBoxHeader(buf); ok {
-			if slot < 0 || h.Gen > best.Gen {
-				best, slot = h, i
-			}
-			continue
-		}
-		if !allZero(buf) {
-			dirty = true
-		}
-	}
-	return best, slot, slot < 0 && dirty
 }
 
 // EncodeBoxRecord serializes one record. The checksum is seeded with the
@@ -179,7 +121,7 @@ func EncodeBoxRecord(r BoxRecord) [BoxRecordSize]byte {
 	binary.LittleEndian.PutUint64(buf[48:], r.Aux0)
 	binary.LittleEndian.PutUint64(buf[56:], r.Aux1)
 	copy(buf[64:], detail)
-	sum := SiteChecksum(r.Seq, buf[:])
+	sum := Checksum(r.Seq, buf[:])
 	binary.LittleEndian.PutUint64(buf[16:], sum)
 	return buf
 }
@@ -213,7 +155,7 @@ func DecodeBoxRecord(buf []byte) (BoxRecord, bool) {
 	for i := 16; i < 24; i++ {
 		scratch[i] = 0
 	}
-	if sum != SiteChecksum(r.Seq, scratch[:]) {
+	if sum != Checksum(r.Seq, scratch[:]) {
 		return BoxRecord{}, false
 	}
 	r.Detail = string(buf[64 : 64+detailLen])
@@ -241,14 +183,4 @@ func ReplayBox(region []byte, capacity uint64) (records []BoxRecord, torn int) {
 	}
 	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
 	return records, torn
-}
-
-// allZero reports whether buf is entirely zero bytes (a never-written slot).
-func allZero(buf []byte) bool {
-	for _, b := range buf {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -48,31 +48,65 @@ func TestBoxRecordRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestBoxHeaderRoundTripAndAdopt drives the box header pair — a GenSlots
+// pair, like the mirror and site-table headers — through every adoption
+// rule of the A/B envelope.
 func TestBoxHeaderRoundTripAndAdopt(t *testing.T) {
-	a := EncodeBoxHeader(BoxHeader{Gen: 3, Epoch: 2, NextSeq: 100})
-	b := EncodeBoxHeader(BoxHeader{Gen: 4, Epoch: 3, NextSeq: 140})
-	h, slot, torn := AdoptBoxHeader(a[:], b[:])
-	if torn || slot != 1 || h.Gen != 4 || h.Epoch != 3 || h.NextSeq != 140 {
-		t.Fatalf("adopt = %+v slot %d torn %v", h, slot, torn)
+	hdrs := NewBoxArena(0, 64<<10).Headers()
+	flip := func(m *memSlots, slot int) { m.b[hdrs.Off(slot)+20] ^= 0xff }
+	cases := []struct {
+		name     string
+		writes   int               // generations written, epochs 1..writes
+		damage   func(m *memSlots) // applied after the writes
+		reject   uint64            // epoch the body check refuses (0: none)
+		want     uint64            // adopted epoch (0: none)
+		torn     bool
+		nextSlot int
+		nextGen  uint64
+	}{
+		{name: "both blank", nextSlot: 0, nextGen: 1},
+		{name: "one valid", writes: 1, want: 1, nextSlot: 1, nextGen: 2},
+		{name: "newest wins", writes: 2, want: 2, nextSlot: 0, nextGen: 3},
+		{name: "newest wins across wrap", writes: 5, want: 5, nextSlot: 1, nextGen: 6},
+		{name: "newest corrupt falls back", writes: 2, damage: func(m *memSlots) { flip(m, 1) },
+			want: 1, nextSlot: 1, nextGen: 2},
+		{name: "both corrupt", writes: 2, damage: func(m *memSlots) { flip(m, 0); flip(m, 1) },
+			torn: true, nextSlot: 0, nextGen: 1},
+		{name: "unreadable and blank", writes: 0, damage: func(m *memSlots) { m.bad[hdrs.Off(1)] = true },
+			torn: true, nextSlot: 0, nextGen: 1},
+		{name: "unreadable newest falls back", writes: 2, damage: func(m *memSlots) { m.bad[hdrs.Off(1)] = true },
+			want: 1, nextSlot: 1, nextGen: 2},
+		{name: "body check rejects newer", writes: 2, reject: 2, want: 1, nextSlot: 1, nextGen: 3},
+		{name: "body check rejects all", writes: 1, reject: 1, torn: true, nextSlot: 0, nextGen: 2},
 	}
-
-	// A torn newer slot falls back to the older valid one.
-	b[20] ^= 0xff
-	h, slot, torn = AdoptBoxHeader(a[:], b[:])
-	if torn || slot != 0 || h.Gen != 3 {
-		t.Fatalf("fallback adopt = %+v slot %d torn %v", h, slot, torn)
-	}
-
-	// Both slots damaged: torn, no adoption.
-	a[20] ^= 0xff
-	if _, slot, torn = AdoptBoxHeader(a[:], b[:]); slot != -1 || !torn {
-		t.Fatalf("double-torn adopt slot %d torn %v", slot, torn)
-	}
-
-	// Fresh arena (all blank): invalid but not torn.
-	var blank [BoxHeaderSize]byte
-	if _, slot, torn = AdoptBoxHeader(blank[:], blank[:]); slot != -1 || torn {
-		t.Fatalf("blank adopt slot %d torn %v", slot, torn)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMemSlots(64 << 10)
+			w := hdrs
+			for e := uint64(1); e <= uint64(tc.writes); e++ {
+				if err := w.Write(m, []uint64{e, 100 * e}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.damage != nil {
+				tc.damage(m)
+			}
+			r := hdrs
+			body, torn := r.Load(m.Read, func(_ int, _ uint64, body []uint64) bool { return body[0] != tc.reject })
+			got := uint64(0)
+			if body != nil {
+				got = body[0]
+				if body[1] != 100*got {
+					t.Fatalf("adopted body %v does not round-trip", body)
+				}
+			}
+			if got != tc.want || torn != tc.torn {
+				t.Fatalf("adopted epoch %d torn %v, want %d torn %v", got, torn, tc.want, tc.torn)
+			}
+			if slot, gen := r.Next(); slot != tc.nextSlot || gen != tc.nextGen {
+				t.Fatalf("next write = slot %d gen %d, want slot %d gen %d", slot, gen, tc.nextSlot, tc.nextGen)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@ package plog
 //	             user region base, biased by one so a valid entry is never
 //	             the zero word
 //	bits 33..48  sub-heap index of the cached block
-//	bits 49..63  checksum over bits 0..48
+//	bits 49..63  checksum over bits 0..48: the top 15 bits of Mix64(body)
 //
 // Like the remote-free ring, an entry is confined to a single atomically
 // stored 8-byte word: under torn eviction a word is either its old value
@@ -39,31 +39,20 @@ const (
 	MaxCacheRel = cacheRelMask - 1
 )
 
-// cacheChecksum mixes the entry body into a 15-bit check value
-// (splitmix64's finalizer — every input bit avalanches, so a single bit
-// flip in body or checksum is detected).
-func cacheChecksum(body uint64) uint64 {
-	x := body + 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
-	return x >> cacheBodyBits
-}
-
 // EncodeCacheEntry packs a user-region-relative block offset and its
 // owning sub-heap index into one manifest word. rel must be ≤ MaxCacheRel.
 // The result is never zero (the offset field is biased by one), so the
 // zero word always means "empty slot".
 func EncodeCacheEntry(rel uint64, shard uint16) uint64 {
 	body := (rel + 1) | uint64(shard)<<cacheRelBits
-	return body | cacheChecksum(body)<<cacheBodyBits
+	return body | Mix64(body)&^cacheBodyMask
 }
 
 // DecodeCacheEntry unpacks a non-zero manifest word. ok is false when the
 // checksum does not match the body — a corrupt entry.
 func DecodeCacheEntry(word uint64) (rel uint64, shard uint16, ok bool) {
 	body := word & cacheBodyMask
-	if word>>cacheBodyBits != cacheChecksum(body) || body&cacheRelMask == 0 {
+	if word != body|Mix64(body)&^cacheBodyMask || body&cacheRelMask == 0 {
 		return 0, 0, false
 	}
 	return body&cacheRelMask - 1, uint16(body >> cacheRelBits), true

@@ -4,18 +4,17 @@ package plog
 // of the heap profiler's site table, stored inside the heap image so a leak
 // profile survives crashes and restarts.
 //
-// The arena holds TWO slots, written alternately (A/B double buffering like
-// the sub-heap metadata mirror): a snapshot write goes to the slot NOT named
-// by the newest valid header, payload first, fence, then its one-cacheline
-// header, fence. A crash at any point leaves the previous slot's header and
-// payload untouched, so the newest *valid* slot is always a complete,
-// self-consistent snapshot — possibly one generation stale, never torn.
-// Validity is structural: magic + length bound + checksum over (seq,
-// payload). A slot that fails these checks is simply not a snapshot; the
-// reader falls back to the other slot or, when both fail on a non-blank
-// arena, reports a torn table. Torn tables only ever reset the profile —
-// they carry no allocator metadata, so they can never quarantine a sub-heap
-// or affect allocation correctness.
+// The arena holds TWO payload slots whose headers form a GenSlots pair
+// (genslots.go) with body {len, payloadSum, epoch}. A snapshot write goes
+// to the slot the pair writes next: payload first, fence, then the header,
+// whose own write fences. A crash at any point leaves the previous slot's
+// header and payload untouched, so the newest *valid* slot is always a
+// complete, self-consistent snapshot — possibly one generation stale, never
+// torn. A header is valid when its envelope checks, its length fits the
+// payload slot and payloadSum = Checksum(gen, payload). When no slot is
+// valid on a non-blank arena the table is torn. Torn tables only ever reset
+// the profile — they carry no allocator metadata, so they can never
+// quarantine a sub-heap or affect allocation correctness.
 //
 // Arena layout (base-relative):
 //
@@ -26,12 +25,12 @@ package plog
 //
 // Header cacheline (little-endian u64 words):
 //
-//	word 0  magic   "POSSITES"
-//	word 1  seq     snapshot generation (monotonic across both slots)
-//	word 2  len     payload byte length
-//	word 3  sum     checksum over seq ++ payload
-//	word 4  epoch   boot epoch that wrote the snapshot
-//	words 5..7 reserved (zero)
+//	word 0  magic       "POSSITES"
+//	word 1  gen         snapshot generation (monotonic across both slots)
+//	word 2  len         payload byte length
+//	word 3  payloadSum  Checksum(gen, payload)
+//	word 4  epoch       boot epoch that wrote the snapshot
+//	word 5  check       Checksum(gen, words 2..4)
 //
 // Payload blob:
 //
@@ -58,7 +57,6 @@ package plog
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -67,7 +65,7 @@ const (
 	SiteMagic = 0x5345544953534F50
 
 	// SiteHeaderSize is one header slot: a single cacheline, so the header
-	// store is covered by one flush and cannot tear across lines.
+	// store is covered by one flush.
 	SiteHeaderSize = 64
 
 	// SiteSlots is the number of A/B snapshot slots.
@@ -81,11 +79,6 @@ const (
 	// siteMaxStr bounds one persisted function/file string.
 	siteMaxStr = 512
 )
-
-// ErrSiteTableTorn reports an arena whose slots are non-blank yet none
-// validates — a snapshot write was interrupted in a way that also lost the
-// previous generation (e.g. media corruption across both headers).
-var ErrSiteTableTorn = errors.New("plog: site side-table torn")
 
 // SiteFrame is one symbolized frame of a persisted allocation site.
 type SiteFrame struct {
@@ -105,55 +98,6 @@ type SiteRecord struct {
 	FreeBytes    uint64
 	FirstEpoch   uint64
 	Frames       []SiteFrame
-}
-
-// SiteHeader is the decoded form of one slot header.
-type SiteHeader struct {
-	Seq        uint64
-	PayloadLen uint64
-	Checksum   uint64
-	Epoch      uint64
-}
-
-// SiteChecksum mixes a snapshot generation and payload into the header
-// check value (FNV-1a seeded with seq, finalized with splitmix64 so every
-// input bit avalanches; a torn or bit-flipped payload fails the check).
-func SiteChecksum(seq uint64, payload []byte) uint64 {
-	h := uint64(0xCBF29CE484222325) ^ seq*0x9E3779B97F4A7C15
-	for _, b := range payload {
-		h ^= uint64(b)
-		h *= 0x100000001B3
-	}
-	h += 0x9E3779B97F4A7C15
-	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-	return h ^ (h >> 31)
-}
-
-// EncodeSiteHeader serializes a header into its 64-byte cacheline.
-func EncodeSiteHeader(h SiteHeader) [SiteHeaderSize]byte {
-	var buf [SiteHeaderSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], SiteMagic)
-	binary.LittleEndian.PutUint64(buf[8:], h.Seq)
-	binary.LittleEndian.PutUint64(buf[16:], h.PayloadLen)
-	binary.LittleEndian.PutUint64(buf[24:], h.Checksum)
-	binary.LittleEndian.PutUint64(buf[32:], h.Epoch)
-	return buf
-}
-
-// DecodeSiteHeader parses a header cacheline. ok is false when the magic is
-// absent (blank or foreign bytes) — checksum validation against the payload
-// is the caller's job via SiteChecksum.
-func DecodeSiteHeader(buf []byte) (SiteHeader, bool) {
-	if len(buf) < SiteHeaderSize || binary.LittleEndian.Uint64(buf[0:]) != SiteMagic {
-		return SiteHeader{}, false
-	}
-	return SiteHeader{
-		Seq:        binary.LittleEndian.Uint64(buf[8:]),
-		PayloadLen: binary.LittleEndian.Uint64(buf[16:]),
-		Checksum:   binary.LittleEndian.Uint64(buf[24:]),
-		Epoch:      binary.LittleEndian.Uint64(buf[32:]),
-	}, true
 }
 
 // SiteArena describes the side-table arena geometry at device offset base
@@ -181,6 +125,9 @@ func (a SiteArena) PayloadCap() uint64 {
 
 // HeaderOff returns the device offset of slot i's header cacheline.
 func (a SiteArena) HeaderOff(i int) uint64 { return a.base + uint64(i)*SiteHeaderSize }
+
+// Headers returns the header pair: body {len, payloadSum, epoch}.
+func (a SiteArena) Headers() GenSlots { return NewGenSlots(a.base, SiteHeaderSize, SiteMagic, 3) }
 
 // PayloadOff returns the device offset of slot i's payload region.
 func (a SiteArena) PayloadOff(i int) uint64 {

@@ -1,6 +1,8 @@
 package plog
 
 import (
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,42 +44,48 @@ func TestSiteCodecRoundTrip(t *testing.T) {
 }
 
 func TestSiteHeaderRoundTrip(t *testing.T) {
-	want := SiteHeader{Seq: 9, PayloadLen: 1234, Checksum: 0xABCD, Epoch: 3}
-	buf := EncodeSiteHeader(want)
-	got, ok := DecodeSiteHeader(buf[:])
-	if !ok {
-		t.Fatal("valid header rejected")
+	arena := NewSiteArena(0, 4096)
+	m := newMemSlots(4096)
+	w := arena.Headers()
+	want := []uint64{1234, 0xABCD, 3} // len, payloadSum, epoch
+	if err := w.Write(m, want); err != nil {
+		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("header round trip: got %+v, want %+v", got, want)
+	r := arena.Headers()
+	got, torn := r.Load(m.Read, nil)
+	if torn || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("header round trip: got %v torn %v, want %v", got, torn, want)
 	}
-	// Blank and garbage cachelines are not headers.
-	var blank [SiteHeaderSize]byte
-	if _, ok := DecodeSiteHeader(blank[:]); ok {
-		t.Fatal("blank cacheline decoded as header")
+	if gotMagic := binary.LittleEndian.Uint64(m.b[arena.HeaderOff(0):]); gotMagic != SiteMagic {
+		t.Fatalf("slot 0 magic = %#x", gotMagic)
 	}
-	garbage := buf
-	garbage[0] ^= 0xFF // break the magic
-	if _, ok := DecodeSiteHeader(garbage[:]); ok {
-		t.Fatal("bad-magic cacheline decoded as header")
+	// Every header word is covered by the check: a flip in the magic, the
+	// generation, the length, the payload sum or the epoch is not a header.
+	for word := 0; word < 5; word++ {
+		m.b[arena.HeaderOff(0)+uint64(8*word)] ^= 0x10
+		if got, torn := r.Load(m.Read, nil); got != nil || !torn {
+			t.Fatalf("word %d flip: got %v torn %v, want a torn table", word, got, torn)
+		}
+		m.b[arena.HeaderOff(0)+uint64(8*word)] ^= 0x10
 	}
-	if _, ok := DecodeSiteHeader(buf[:SiteHeaderSize-1]); ok {
-		t.Fatal("short buffer decoded as header")
+	// Blank headers are not a table at all.
+	if got, torn := r.Load(newMemSlots(4096).Read, nil); got != nil || torn {
+		t.Fatalf("blank arena: got %v torn %v", got, torn)
 	}
 }
 
 func TestSiteChecksumDependsOnSeqAndPayload(t *testing.T) {
 	payload := []byte("some site table payload bytes")
-	base := SiteChecksum(5, payload)
-	if SiteChecksum(6, payload) == base {
+	base := Checksum(5, payload)
+	if Checksum(6, payload) == base {
 		t.Fatal("checksum ignores the sequence number")
 	}
 	flipped := append([]byte(nil), payload...)
 	flipped[3] ^= 0x01
-	if SiteChecksum(5, flipped) == base {
+	if Checksum(5, flipped) == base {
 		t.Fatal("checksum ignores a payload bit flip")
 	}
-	if SiteChecksum(5, payload) != base {
+	if Checksum(5, payload) != base {
 		t.Fatal("checksum not deterministic")
 	}
 }
