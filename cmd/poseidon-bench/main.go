@@ -334,8 +334,8 @@ func contention(cfg config) error {
 // Poseidon's log replay is constant-size; Makalu's conservative
 // mark-and-sweep walks the heap (§5.1 vs §2.2). A second section sweeps
 // sub-heap count x RecoveryParallelism: the per-sub-heap fan-out's
-// speedup over the legacy serial load (bounded by GOMAXPROCS — on a
-// single core the columns collapse).
+// speedup over a width-1 load (bounded by GOMAXPROCS — on a single core
+// the columns collapse).
 func recovery(cfg config) error {
 	fmt.Println("# Extra — recovery time vs live objects (one restart)")
 	fmt.Printf("%-14s %16s %16s\n", "live objects", "poseidon load", "makalu recover")
@@ -414,8 +414,8 @@ type recVariant struct {
 	MedianLoadMs float64 `json:"median_load_ms"`
 }
 
-// recoveryParallel times a scrubbed Load of the same crashed image under
-// the legacy serial path and the 8-way fan-out, per sub-heap count. The
+// recoveryParallel times a scrubbed Load of the same crashed image at
+// width 1 and with the 8-way fan-out, per sub-heap count. The
 // timed work (log scan + full ScrubOnLoad audit) is identical every
 // iteration, so the median of a few repeats is stable.
 func recoveryParallel(cfg config) error {

@@ -15,7 +15,7 @@
 // the same path.
 //
 // -j N fans recovery, the -scrub audit and the -repair walk out over N
-// workers (0, the default, uses every core; 1 forces the serial path) —
+// workers (0, the default, uses every core; 1 runs them on one worker) —
 // the fan-out recovers a byte-identical image at any width.
 //
 // Exit status: 0 clean, 1 problems found, 2 usage/load error, 3 degraded

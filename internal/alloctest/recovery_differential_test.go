@@ -16,8 +16,8 @@ import (
 )
 
 // The differential recovery suite is the tentpole's oracle: the SAME
-// crashed image, recovered once with the legacy serial path
-// (RecoveryParallelism 1) and once with an 8-way fan-out, must be
+// crashed image, recovered once at width 1 (RecoveryParallelism 1, the
+// recovery phases on one worker) and once with an 8-way fan-out, must be
 // indistinguishable — identical audit reports, identical recovery
 // counters, an identical surviving-pointer fingerprint, and (the strongest
 // form) bit-identical persistent images. The schedules are randomized and
@@ -247,7 +247,7 @@ func fingerprintRecovery(t *testing.T, path string, par int, probes []recProbe) 
 }
 
 // TestDifferentialParallelRecovery recovers the same randomized crashed
-// images serially and with an 8-way fan-out and requires the two
+// images at width 1 and with an 8-way fan-out and requires the two
 // recoveries to be indistinguishable, down to the persistent image bytes.
 func TestDifferentialParallelRecovery(t *testing.T) {
 	var sawTx, sawCached, sawDrains bool

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"poseidon/internal/mpk"
 	"poseidon/internal/nvm"
@@ -839,17 +840,53 @@ func TestPtrTranslation(t *testing.T) {
 	}
 }
 
+// TestOptionsValidation pins the options contract at every entry point:
+// every value Create rejects, Load and Attach reject too, before touching
+// the image.
 func TestOptionsValidation(t *testing.T) {
-	bad := []Options{
-		{Subheaps: -1},
-		{SubheapUserSize: 3 << 20},                        // not a power of two
-		{SubheapUserSize: 1 << 10},                        // too small
-		{UndoLogSize: 4 << 10, SubheapMetaSize: 64 << 10}, // undo too small
+	h := newTestHeap(t)
+	if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+		t.Fatal(err)
 	}
-	for i, opts := range bad {
-		if _, err := Create(opts); err == nil {
-			t.Errorf("options %d accepted: %+v", i, opts)
-		}
+	_ = h.Close()
+
+	bad := []struct {
+		name   string
+		mutate func(*Options)
+	}{
+		{"negative sub-heaps", func(o *Options) { o.Subheaps = -1 }},
+		{"user size not power of two", func(o *Options) { o.SubheapUserSize = 3 << 20 }},
+		{"user size too small", func(o *Options) { o.SubheapUserSize = 1 << 10 }},
+		{"undo log too small", func(o *Options) { o.UndoLogSize, o.SubheapMetaSize = 4<<10, 64<<10 }},
+		{"negative max threads", func(o *Options) { o.MaxThreads = -1 }},
+		{"negative parallelism", func(o *Options) { o.RecoveryParallelism = -3 }},
+		{"negative scrub interval", func(o *Options) { o.OnlineScrub.Interval = -1 }},
+		{"negative scrub throttle", func(o *Options) { o.OnlineScrub.Throttle = -1 }},
+		{"negative profile rate", func(o *Options) { o.Profile.Rate = -1 }},
+		{"negative trace buffer", func(o *Options) { o.Trace.Buffer = -1 }},
+		{"profile without telemetry", func(o *Options) { o.Profile.Rate = 8 }},
+		{"negative watchdog interval", func(o *Options) { o.Watchdog.Interval = -1 }},
+		{"watchdog without telemetry", func(o *Options) { o.Watchdog.StallThreshold = time.Second }},
+		{"magazine capacity 1", func(o *Options) { o.Magazines = MagazineOptions{Capacity: 1} }},
+		{"magazine capacity 8192", func(o *Options) { o.Magazines = MagazineOptions{Capacity: 8192} }},
+		{"magazine classes 65", func(o *Options) { o.Magazines = MagazineOptions{Capacity: 8, Classes: 65} }},
+	}
+	for _, c := range bad {
+		t.Run(c.name, func(t *testing.T) {
+			opts := testOptions()
+			c.mutate(&opts)
+			if _, err := Create(opts); err == nil {
+				t.Fatal("Create accepted the options")
+			}
+			if h2, err := Load(h.Device(), opts); err == nil {
+				h2.Close()
+				t.Error("Load accepted options Create rejects")
+			}
+			if h2, err := Attach(h.Device(), opts); err == nil {
+				h2.Close()
+				t.Error("Attach accepted options Create rejects")
+			}
+		})
 	}
 }
 

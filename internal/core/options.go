@@ -74,12 +74,13 @@ type Options struct {
 	// RecoveryParallelism bounds the worker pool Load fans recovery out
 	// over: per-sub-heap log replay, micro-lane rollback, cache-manifest
 	// replay, the ScrubOnLoad audit and RepairAll all split across this
-	// many workers once the superblock log has replayed serially. The
-	// fan-out is proven byte-identical to serial recovery (replay is
-	// grouped per sub-heap, preserving each sub-heap's projection of the
-	// serial replay order), so any value yields the same recovered image.
-	// 0 (the default) uses runtime.GOMAXPROCS(0); 1 forces the legacy
-	// single-threaded load path. Negative values are rejected.
+	// many workers once the superblock log has replayed serially. Replay
+	// is grouped per sub-heap, preserving each sub-heap's projection of
+	// the global replay order, so any value yields the same recovered
+	// image; a test pins widths 1, 2 and 8 to the image the original
+	// strictly serial load produced. 0 (the default) uses
+	// runtime.GOMAXPROCS(0); 1 runs the same recovery phases on one
+	// worker. Negative values are rejected.
 	RecoveryParallelism int
 	// RemoteFreeRings enables the persistent per-sub-heap remote-free
 	// ring (mimalloc-style message-passing frees): a thread freeing a

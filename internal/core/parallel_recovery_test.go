@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -132,9 +134,9 @@ func saveBytes(t *testing.T, h *Heap) []byte {
 }
 
 // TestParallelRecoveryMatchesSerialImage is the core-level byte-identity
-// check: recovering the same crashed image serially and with an 8-way
-// fan-out must produce identical persistent images, audits and recovery
-// counters. (The randomized, schedule-driven version lives in
+// check: recovering the same crashed image at width 1 (one worker) and
+// with an 8-way fan-out must produce identical persistent images, audits
+// and recovery counters. (The randomized, schedule-driven version lives in
 // internal/alloctest; this one pins the invariant close to the machinery.)
 func TestParallelRecoveryMatchesSerialImage(t *testing.T) {
 	path := messyCrashedImage(t)
@@ -179,6 +181,42 @@ func TestParallelRecoveryMatchesSerialImage(t *testing.T) {
 	if !bytes.Equal(bS, bP) {
 		t.Fatalf("recovered images differ (serial %d bytes, parallel %d bytes): the fan-out is not byte-identical",
 			len(bS), len(bP))
+	}
+}
+
+// TestParallelRecoveryMatchesSerialReference pins recovery against a fixed
+// specification rather than a second live implementation: the image and
+// counters below were recorded from the original strictly serial load
+// (sub-heap logs, then each lane's micro-log rollback, then each lane's
+// cache-manifest replay, in order). Every width of the fan-out must keep
+// reproducing them. The crashed image is deterministic: messyCrashedImage
+// is single-threaded and crashes with a seeded eviction policy.
+func TestParallelRecoveryMatchesSerialReference(t *testing.T) {
+	const wantImage = "eb6b614453df9cd383bd49bc582aab54fb9a856d363ef78c5513b5f7d0cd71d3"
+	wantStats := map[string]uint64{
+		"recoveredBlocks":     16,
+		"recoveredNoops":      11,
+		"recoveredCached":     61,
+		"invalidFrees":        0,
+		"doubleFrees":         11,
+		"quarantinedSubheaps": 0,
+		"quarantinedBytes":    0,
+		"remoteDrains":        28,
+	}
+	path := messyCrashedImage(t)
+	for _, par := range []int{1, 2, 8} {
+		h := loadImage(t, path, par)
+		got := recoveryStats(h.Stats())
+		for k, v := range wantStats {
+			if got[k] != v {
+				t.Errorf("width %d: stat %s = %d, reference %d", par, k, got[k], v)
+			}
+		}
+		sum := sha256.Sum256(saveBytes(t, h))
+		if img := hex.EncodeToString(sum[:]); img != wantImage {
+			t.Errorf("width %d: recovered image sha256 %s, reference %s", par, img, wantImage)
+		}
+		h.Close()
 	}
 }
 

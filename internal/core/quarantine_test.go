@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"poseidon/internal/nvm"
+	"poseidon/internal/obs"
+	"poseidon/internal/plog"
 )
 
 // recordSlot finds the hash-table slot of the record indexing p's block —
@@ -224,5 +227,54 @@ func TestLoadFailsWhenTransientFaultsPersist(t *testing.T) {
 	defer h.Device().DisarmTransientFaults()
 	if _, err := Load(h.Device(), testOptions()); !errors.Is(err, nvm.ErrTransient) {
 		t.Fatalf("Load = %v, want ErrTransient", err)
+	}
+}
+
+// TestManifestFindingJournaledOnceAcrossRetry: a transient read fault later
+// in a cache manifest makes recovery re-scan the whole manifest, and the
+// invalid word found before the fault must still be journaled exactly once.
+func TestManifestFindingJournaledOnceAcrossRetry(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		tel := obs.New()
+		opts := testOptions()
+		opts.Telemetry = tel
+		opts.RecoveryParallelism = par
+		h, err := Create(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man := plog.NewManifest(h.lay.laneManifestBase(0), h.lay.magSlots)
+		if _, _, ok := plog.DecodeCacheEntry(0xDEADBEEF); ok {
+			t.Fatal("test word decodes; pick an invalid one")
+		}
+		if err := h.Device().PersistU64(man.WordOff(0), 0xDEADBEEF); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+			t.Fatal(err)
+		}
+		_ = h.Close()
+
+		h.Device().ArmTransientFaults(nvm.TransientFaults{
+			Off: man.WordOff(5), Len: 8, Reads: true, MaxFaults: 1,
+		})
+		h2, err := Load(h.Device(), opts)
+		h.Device().DisarmTransientFaults()
+		if err != nil {
+			t.Fatalf("width %d: Load: %v", par, err)
+		}
+		if got := h2.Stats().TransientRetries; got != 1 {
+			t.Fatalf("width %d: TransientRetries = %d, want 1 (the fault missed the scan)", par, got)
+		}
+		findings := 0
+		for _, e := range tel.Events() {
+			if e.Kind == obs.EventScrubFinding && strings.Contains(e.Detail, "cache manifest 0 slot 0") {
+				findings++
+			}
+		}
+		if findings != 1 {
+			t.Errorf("width %d: journaled %d findings for one invalid manifest word, want 1", par, findings)
+		}
+		h2.Close()
 	}
 }

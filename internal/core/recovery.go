@@ -1,13 +1,16 @@
-// Parallel crash recovery (paper §5.8): everything Load does after the
+// Crash recovery's load tail (paper §5.8): everything Load does after the
 // superblock log has replayed is per-sub-heap independent — each sub-heap's
 // undo log, the micro-log rollbacks and cache-manifest frees targeting it,
-// and its fsck audit touch only that sub-heap's metadata region — so the
-// load tail fans out over a bounded worker pool sized by
-// Options.RecoveryParallelism.
+// and its fsck audit touch only that sub-heap's metadata region — so it runs
+// as four phases, each spread over a bounded worker pool sized by
+// Options.RecoveryParallelism. Width 1 runs the same phases on one worker;
+// there is no other recovery path.
 //
-// The fan-out is proven byte-identical to the serial path (the differential
-// suite in internal/alloctest asserts it image-for-image) because of how
-// the work is split:
+// Every width recovers a crashed image to the same bytes because of how the
+// work is split. The differential suite in internal/alloctest compares
+// width 1 with width 8 image for image, and
+// TestParallelRecoveryMatchesSerialReference pins widths 1, 2 and 8 to the
+// image and counters recorded from the original strictly serial load.
 //
 //   - Phase 1 recovers every sub-heap's own logs concurrently; the work was
 //     already self-contained under the sub-heap lock.
@@ -16,14 +19,14 @@
 //     by lane: a sub-heap's mutations depend only on its own projection of
 //     the global (lane, position) replay order, and replaying its entries
 //     in exactly that order — lanes ascending, positions ascending — from a
-//     single worker reproduces the serial image bit for bit. Replaying
-//     lanes concurrently instead would interleave frees from different
-//     lanes into the same free list nondeterministically.
+//     single worker yields the same sub-heap image at every width.
+//     Replaying lanes concurrently instead would interleave frees from
+//     different lanes into the same free list nondeterministically.
 //   - Phase 4 truncates replayed lanes and clears processed manifest words,
 //     one worker per lane, after every free from phase 3 is durable — the
-//     same clear-after-free ordering the serial path establishes per entry,
-//     so a crash at any interior point re-recovers idempotently (surviving
-//     entries replay as no-ops against already-free blocks).
+//     clear-after-free ordering that makes a crash at any interior point
+//     re-recover idempotently (surviving entries replay as no-ops against
+//     already-free blocks).
 //
 // Barriers between phases keep the crash-safety argument one-directional:
 // nothing is erased (truncate, manifest clear) until everything it covers
@@ -44,27 +47,22 @@ import (
 )
 
 // recoveryParallelism resolves Options.RecoveryParallelism: 0 means
-// GOMAXPROCS, anything below 1 is clamped to the serial path.
+// GOMAXPROCS. Negative values never get here; Options.validate rejects them.
 func (h *Heap) recoveryParallelism() int {
-	p := h.opts.RecoveryParallelism
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
+	if p := h.opts.RecoveryParallelism; p > 0 {
+		return p
 	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return runtime.GOMAXPROCS(0)
 }
 
 // forEachRecovery runs fn(worker, task) for every task in [0, n) on up to
-// par workers. With par <= 1 it degenerates to the plain serial loop,
-// stopping at the first error — the legacy behavior. In parallel mode every
-// task runs to completion and the error of the LOWEST-numbered failing task
-// is returned: aggregation is deterministic no matter how the pool
-// interleaved, so a corrupt image yields the same fatal error at every
-// parallelism level. Workers pull tasks from a shared counter (work
-// stealing), bounding the pool while keeping long tasks from serializing
-// behind short ones.
+// par workers. With par <= 1 it is a plain in-order loop that stops at the
+// first error. With more workers every task runs to completion and the
+// error of the LOWEST-numbered failing task is returned: aggregation is
+// deterministic no matter how the pool interleaved, so a corrupt image
+// yields the same fatal error at every width. Workers pull tasks from a
+// shared counter (work stealing), bounding the pool while keeping long
+// tasks from serializing behind short ones.
 func (h *Heap) forEachRecovery(n, par int, fn func(worker, task int) error) error {
 	if par > n {
 		par = n
@@ -129,8 +127,8 @@ func (h *Heap) newRecWorkers(par int) []recWorker {
 	return ws
 }
 
-// wrapLaneErr applies the serial path's fatal-error dressing: corruption-
-// class failures get the ErrCorruptHeap prefix, device-class failures pass
+// wrapLaneErr dresses a lane's fatal recovery error: corruption-class
+// failures get the ErrCorruptHeap prefix, device-class failures pass
 // through with position context only.
 func wrapLaneErr(prefix string, lane int, err error) error {
 	if err == nil {
@@ -165,11 +163,13 @@ type laneScan struct {
 	man        []manItem
 }
 
-// recoverFanout is the parallel load tail: the phase structure documented
-// at the top of this file, replacing recoverSerial's three loops when
-// RecoveryParallelism > 1.
+// recoverFanout is the load tail after the superblock replay: the four
+// phases documented at the top of this file, on par workers.
 func (h *Heap) recoverFanout(par int) error {
 	// Phase 1: per-sub-heap undo-log recovery, ring replay and reseeding.
+	// Undo replay may already revert a logged allocation; phase 3's
+	// rollback of it is then rejected by the hash-table check and counts
+	// as a no-op — exactly the idempotency §5.8 relies on.
 	err := h.forEachRecovery(len(h.subheaps), par, func(_, i int) error {
 		s := h.subheaps[i]
 		err := h.retry(s.recoverLogs)
@@ -189,6 +189,8 @@ func (h *Heap) recoverFanout(par int) error {
 	workers := h.newRecWorkers(par)
 
 	// Phase 2: read-only scan of every lane's micro log and cache manifest.
+	// Manifest words name blocks a magazine held at the crash; replaying
+	// them keeps a crash with populated magazines from leaking them.
 	scans := make([]laneScan, h.lay.laneCount)
 	err = h.forEachRecovery(h.lay.laneCount, par, func(w, i int) error {
 		return h.scanLane(&workers[w], i, &scans[i])
@@ -198,11 +200,11 @@ func (h *Heap) recoverFanout(par int) error {
 	}
 
 	// Bucket the harvest by target sub-heap, preserving each sub-heap's
-	// projection of the serial replay order — lanes ascending, positions
+	// projection of the global replay order — lanes ascending, positions
 	// ascending, micro-log rollbacks before manifest frees. This grouping
 	// is the byte-identity argument: sub-heap s's metadata mutations are a
 	// pure function of the sequence of frees applied to s, and that
-	// sequence is exactly what the serial loops would apply.
+	// sequence is the same at every width.
 	txBy := make([][]txItem, len(h.subheaps))
 	manBy := make([][]manItem, len(h.subheaps))
 	clears := make([][]bool, h.lay.laneCount)
@@ -242,9 +244,10 @@ func (h *Heap) recoverFanout(par int) error {
 
 // scanLane reads lane's micro log and cache manifest without mutating
 // anything, collecting the replay work into out. Invalid manifest entries
-// are journaled and left in place for the audit, exactly as the serial walk
-// does. Safe to re-run (the retry wrapper may): out is rebuilt from scratch
-// on every attempt.
+// are journaled once and left in place for the audit. Safe to re-run (the
+// retry wrapper may): out and the findings are rebuilt from scratch on
+// every attempt, and the findings are journaled only after the scan
+// succeeds.
 func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 	err := h.retry(func() error {
 		out.tx = out.tx[:0]
@@ -282,8 +285,10 @@ func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 	if h.lay.magSlots == 0 {
 		return nil
 	}
+	var findings []string
 	err = h.retry(func() error {
 		out.man = out.man[:0]
+		findings = findings[:0]
 		man := plog.NewManifest(h.lay.laneManifestBase(lane), h.lay.magSlots)
 		for k := uint64(0); k < man.Slots(); k++ {
 			word, err := w.win.ReadU64(man.WordOff(k))
@@ -295,7 +300,7 @@ func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 			}
 			rel, shard, ok := plog.DecodeCacheEntry(word)
 			if !ok || int(shard) >= h.lay.subheaps || rel >= h.lay.userSize {
-				h.tel.Emit(obs.EventScrubFinding, -1, fmt.Sprintf(
+				findings = append(findings, fmt.Sprintf(
 					"cache manifest %d slot %d: invalid entry %#x", lane, k, word))
 				continue
 			}
@@ -303,13 +308,19 @@ func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 		}
 		return nil
 	})
-	return wrapLaneErr("cache manifest", lane, err)
+	if err != nil {
+		return wrapLaneErr("cache manifest", lane, err)
+	}
+	for _, f := range findings {
+		h.tel.Emit(obs.EventScrubFinding, -1, f)
+	}
+	return nil
 }
 
-// replaySubheap applies one sub-heap's bucketed replay work in serial
+// replaySubheap applies one sub-heap's bucketed replay work in replay
 // order: micro-log rollbacks first, manifest frees second, marking the
 // manifest words phase 4 may clear. The per-entry semantics live in
-// replayTxEntry/replayManifestEntry, shared with the serial path.
+// replayTxEntry/replayManifestEntry (heap.go).
 func (h *Heap) replaySubheap(s *subheap, tx []txItem, man []manItem, clears [][]bool) error {
 	for _, it := range tx {
 		if err := h.replayTxEntry(s, it.lane, it.dev); err != nil {
@@ -320,7 +331,7 @@ func (h *Heap) replaySubheap(s *subheap, tx []txItem, man []manItem, clears [][]
 		clear, err := h.replayManifestEntry(s, it.rel)
 		if err != nil {
 			// Only non-quarantinable errors escape replayManifestEntry
-			// (corruption quarantines in place), matching the serial wrap.
+			// (corruption quarantines in place), so no ErrCorruptHeap prefix.
 			return fmt.Errorf("cache manifest %d: %w", it.lane, err)
 		}
 		if clear {

@@ -95,26 +95,11 @@ func (h *Heap) scrubSubheap(s *subheap) error {
 	if h.tel != nil {
 		start = time.Now()
 	}
-	var sub SubheapReport
-	err := h.retry(func() error {
-		var e error
-		sub, e = s.check()
-		return e
-	})
+	quarantined, err := h.audit(s, "online audit")
 	if h.tel != nil {
 		h.tel.RecordOn(s.id, obs.OpScrub, time.Since(start))
 	}
-	switch {
-	case err == nil && len(sub.Problems) == 0:
-		return nil
-	case err == nil:
-		h.tel.Emit(obs.EventScrubFinding, s.id, fmt.Sprintf(
-			"%d problems, first: %s", len(sub.Problems), sub.Problems[0]))
-		s.quarantine(fmt.Sprintf("online audit failed: %s (%d problems)",
-			sub.Problems[0], len(sub.Problems)))
-	case quarantinable(err):
-		s.quarantine(fmt.Sprintf("online audit aborted: %v", err))
-	default:
+	if err != nil || !quarantined {
 		return err
 	}
 	// Self-heal: the repair emits its own journal events and, on failure,

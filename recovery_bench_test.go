@@ -21,9 +21,9 @@ import (
 // iteration (log replay is idempotent, the audit is read-mostly) — so the
 // parallelism axis isolates the fan-out's speedup: at 32 sub-heaps the
 // 8-way pool should approach 8x on an unloaded 8-core machine, and par=1
-// is exactly the legacy serial path. On a single-core runner the two
-// columns collapse (GOMAXPROCS bounds real concurrency), which is itself
-// the honest result.
+// runs the same recovery phases on one worker. On a single-core runner
+// the two columns collapse (GOMAXPROCS bounds real concurrency), which is
+// itself the honest result.
 func BenchmarkRecoveryPoseidonLoad(b *testing.B) {
 	const objectsPerSubheap = 2000
 	for _, subheaps := range []int{2, 8, 32} {
