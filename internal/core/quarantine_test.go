@@ -278,3 +278,51 @@ func TestManifestFindingJournaledOnceAcrossRetry(t *testing.T) {
 		h2.Close()
 	}
 }
+
+// TestThreadRoutesAroundQuarantine pins Thread()'s shard pick: a raw
+// round-robin `counter % subheaps` could pin a new thread to a quarantined
+// sub-heap and fail every allocation. It must route through healthyShard
+// instead.
+func TestThreadRoutesAroundQuarantine(t *testing.T) {
+	h, err := Create(Options{
+		Subheaps:        2,
+		SubheapUserSize: 512 << 10,
+		SubheapMetaSize: 256 << 10,
+		UndoLogSize:     64 << 10,
+		MaxThreads:      16,
+		HeapID:          0xC0B1,
+		CrashTracking:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	h.subheaps[0].quarantine("test: simulated media failure")
+
+	for i := 0; i < 8; i++ {
+		th, err := h.Thread()
+		if err != nil {
+			t.Fatalf("Thread %d: %v", i, err)
+		}
+		if th.shard == 0 {
+			t.Fatalf("Thread %d pinned to quarantined sub-heap 0", i)
+		}
+		if _, err := th.Alloc(64); err != nil {
+			t.Fatalf("Thread %d alloc on healthy shard: %v", i, err)
+		}
+		th.Close()
+	}
+
+	// With every sub-heap quarantined registration must still succeed (the
+	// thread is unusable for allocation, but Close/teardown paths need it).
+	h.subheaps[1].quarantine("test: simulated media failure")
+	th, err := h.Thread()
+	if err != nil {
+		t.Fatalf("Thread with all sub-heaps quarantined: %v", err)
+	}
+	if _, err := th.Alloc(64); !errors.Is(err, ErrSubheapQuarantined) {
+		t.Fatalf("alloc on fully quarantined heap = %v, want ErrSubheapQuarantined", err)
+	}
+	th.Close()
+}

@@ -53,13 +53,6 @@ type UndoLog struct {
 	tail   uint64 // end of appended (possibly unsealed) entries
 	unseal uint64 // entries appended since the last Seal
 
-	// Volatile accounting: how many Seal/Truncate commit points this log
-	// has issued since open. Combined commits exist to shrink these — one
-	// shared seal and truncate can cover a whole group of operations — so
-	// tests and benches read them to prove the amortization happened.
-	seals     uint64
-	truncates uint64
-
 	scratch []byte // reused entry-assembly buffer
 }
 
@@ -98,14 +91,6 @@ func (l *UndoLog) IsEmpty() bool { return l.count == 0 }
 
 // Count returns the number of committed entries.
 func (l *UndoLog) Count() uint64 { return l.count }
-
-// Seals returns how many non-empty Seal commit points the log has issued
-// since open (volatile; a seal covering a whole combined group counts once).
-func (l *UndoLog) Seals() uint64 { return l.seals }
-
-// Truncates returns how many Truncate commit points the log has issued
-// since open (volatile).
-func (l *UndoLog) Truncates() uint64 { return l.truncates }
 
 // entryArea returns the device offset of the entry area.
 func (l *UndoLog) entryArea() uint64 { return l.base + undoHeaderSize }
@@ -168,7 +153,6 @@ func (l *UndoLog) Seal() error {
 	l.count += l.unseal
 	l.cursor = l.tail
 	l.unseal = 0
-	l.seals++
 	return nil
 }
 
@@ -192,7 +176,6 @@ func (l *UndoLog) Truncate() error {
 	}
 	l.w.Fence()
 	l.count, l.cursor, l.tail, l.unseal = 0, 0, 0, 0
-	l.truncates++
 	return nil
 }
 
