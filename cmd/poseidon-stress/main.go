@@ -5,6 +5,11 @@
 // inconsistency.
 //
 //	poseidon-stress -cycles 20 -threads 4 -ops 3000
+//
+// -mags, -rings, -scrub, -watchdog, -profile-rate and -trace-rate turn the
+// opt-in mechanisms on, alone or all together:
+//
+//	poseidon-stress -mags -rings -scrub 200us -watchdog 2s -profile-rate 8 -trace-rate 8
 package main
 
 import (
@@ -32,16 +37,19 @@ func main() {
 
 func run() error {
 	var (
-		cycles  = flag.Int("cycles", 20, "crash/recover cycles")
-		threads = flag.Int("threads", 4, "concurrent workers")
-		ops     = flag.Int("ops", 3000, "operations per worker per cycle")
-		seed    = flag.Int64("seed", 1, "randomness seed")
+		cycles   = flag.Int("cycles", 20, "crash/recover cycles")
+		threads  = flag.Int("threads", 4, "concurrent workers")
+		ops      = flag.Int("ops", 3000, "operations per worker per cycle")
+		seed     = flag.Int64("seed", 1, "randomness seed")
 		metrics  = flag.String("metrics", "", "serve /metrics, /vars and /debug/pprof on this address (e.g. :9120; empty = off)")
 		save     = flag.String("save", "", "save the final heap image to this path (e.g. for a poseidon-fsck audit)")
 		profRate = flag.Int("profile-rate", 0, "sample 1-in-N allocations into the site profiler (0 = off); served at /debug/pprof/poseidon_heap")
 		trcRate  = flag.Int("trace-rate", 0, "sample 1-in-N operations as spans (0 = off); served at /debug/optrace")
 		optrace  = flag.String("optrace", "", "write the final op-span trace as Chrome trace-event JSON to this path")
 		watchdog = flag.Duration("watchdog", 0, "stall-watchdog threshold (0 = off); stalls are journalled and recorded in the black box")
+		mags     = flag.Bool("mags", false, "per-thread block magazines (64 blocks x 8 classes)")
+		rings    = flag.Bool("rings", false, "remote-free rings for cross-sub-heap frees")
+		scrub    = flag.Duration("scrub", 0, "online scrubber pass interval (0 = off)")
 	)
 	flag.Parse()
 
@@ -56,6 +64,11 @@ func run() error {
 		Profile:         core.ProfileOptions{Rate: *profRate},
 		Trace:           core.TraceOptions{Rate: *trcRate},
 		Watchdog:        core.WatchdogOptions{StallThreshold: *watchdog},
+		RemoteFreeRings: *rings,
+		OnlineScrub:     core.OnlineScrubOptions{Interval: *scrub},
+	}
+	if *mags {
+		opts.Magazines = core.MagazineOptions{Capacity: 64, Classes: 8}
 	}
 	if *optrace != "" && *trcRate <= 0 {
 		return errors.New("-optrace needs -trace-rate > 0")
@@ -140,6 +153,13 @@ func run() error {
 		if cycle%2 == 1 {
 			h.Device().FailAfter(int64(rng.Intn(*ops * 10)))
 		}
+		// One in four allocations goes to a shared pool, and one op in
+		// twelve frees a block from it, so blocks are freed by threads
+		// pinned to other sub-heaps (the remote-free path).
+		var (
+			poolMu sync.Mutex
+			pool   []core.NVMPtr
+		)
 		var wg sync.WaitGroup
 		for w := 0; w < *threads; w++ {
 			wg.Add(1)
@@ -155,6 +175,21 @@ func run() error {
 				done := 0
 				defer func() { totalOps.Add(uint64(done)) }()
 				for i := 0; i < *ops; i++ {
+					if wrng.Intn(12) == 0 {
+						poolMu.Lock()
+						var p core.NVMPtr
+						if n := len(pool); n > 0 {
+							p, pool = pool[n-1], pool[:n-1]
+						}
+						poolMu.Unlock()
+						if !p.IsNull() {
+							if err := th.Free(p); err != nil {
+								return
+							}
+							done++
+							continue
+						}
+					}
 					if len(live) > 32 || (len(live) > 0 && wrng.Intn(3) == 0) {
 						k := wrng.Intn(len(live))
 						if err := th.Free(live[k]); err != nil {
@@ -178,7 +213,13 @@ func run() error {
 					if err != nil {
 						return
 					}
-					live = append(live, p)
+					if wrng.Intn(4) == 0 {
+						poolMu.Lock()
+						pool = append(pool, p)
+						poolMu.Unlock()
+					} else {
+						live = append(live, p)
+					}
 					done++
 				}
 			}(w)
@@ -191,6 +232,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		// The crash revoked the heap's attach generation, so this Close
+		// writes nothing; it releases the dead heap before its successor
+		// attaches.
+		_ = h.Close()
 		h2, err := core.Load(h.Device(), opts)
 		if err != nil {
 			return fmt.Errorf("cycle %d: recovery failed: %w", cycle, err)

@@ -76,11 +76,6 @@ type Heap struct {
 	repairedBytes    atomic.Uint64
 	mirrorRestores   atomic.Uint64
 
-	// scrubStop/scrubDone coordinate the optional online scrubber goroutine
-	// (Options.OnlineScrub); nil when the scrubber is not running.
-	scrubStop chan struct{}
-	scrubDone chan struct{}
-
 	// tel is the optional telemetry registry (Options.Telemetry); nil when
 	// the heap runs uninstrumented. sbRec attributes superblock-window
 	// device traffic; it is retagged under sbMu (or during single-threaded
@@ -134,8 +129,10 @@ type Heap struct {
 	stallsTotal atomic.Uint64
 	openedAt    time.Time
 
-	closed bool
-	mu     sync.Mutex // guards closed
+	// life is the heap's lifecycle word — its attach generation on the
+	// device (lifecycle.go); sup owns the background workers.
+	life *nvm.Lease
+	sup  supervisor
 }
 
 // Create formats a new heap on a fresh device.
@@ -158,7 +155,7 @@ func Create(opts Options) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := assemble(dev, lay, opts)
+	h, err := assemble(dev, lay, opts, dev.Acquire())
 	if err != nil {
 		return nil, err
 	}
@@ -172,13 +169,13 @@ func Create(opts Options) (*Heap, error) {
 	h.prof.SetEpoch(1)
 	h.initBlackboxFresh()
 	h.recomputeHealth()
-	h.startScrubber()
-	h.startWatchdog()
+	h.startSupervisor()
 	return h, nil
 }
 
 // Load attaches to an existing heap image on dev (e.g. after nvm.LoadFile,
-// or in-process after a simulated crash) and runs crash recovery.
+// or in-process after a simulated crash) and runs crash recovery. It takes
+// a new attach generation, fencing any heap still attached to dev.
 func Load(dev *nvm.Device, opts Options) (*Heap, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -188,7 +185,7 @@ func Load(dev *nvm.Device, opts Options) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := assemble(dev, lay, opts)
+	h, err := assemble(dev, lay, opts, dev.Acquire())
 	if err != nil {
 		return nil, err
 	}
@@ -216,14 +213,15 @@ func Load(dev *nvm.Device, opts Options) (*Heap, error) {
 			"load complete: %d tx blocks rolled back, %d no-ops, %d sub-heaps quarantined",
 			st.RecoveredBlocks, st.RecoveredNoops, st.QuarantinedSubheaps))
 	}
-	h.startScrubber()
-	h.startWatchdog()
+	h.startSupervisor()
 	return h, nil
 }
 
 // Attach wires a heap over an existing image WITHOUT running recovery —
 // the raw post-crash view poseidon-fsck -raw audits. Allocator operations
-// on an un-recovered heap are unsafe; use Load for normal operation.
+// on an un-recovered heap are unsafe; use Load for normal operation. A raw
+// attach is read-only inspection: it neither takes nor revokes an attach
+// generation, so it never fences the heap that owns the device.
 func Attach(dev *nvm.Device, opts Options) (*Heap, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -233,7 +231,7 @@ func Attach(dev *nvm.Device, opts Options) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := assemble(dev, lay, opts)
+	h, err := assemble(dev, lay, opts, new(nvm.Lease))
 	if err != nil {
 		return nil, err
 	}
@@ -254,9 +252,11 @@ func Attach(dev *nvm.Device, opts Options) (*Heap, error) {
 
 // assemble wires the in-DRAM structures over a device (no persistent
 // mutations). MPK tagging is (re)applied here: key assignments live in page
-// tables, which do not survive a restart.
-func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
+// tables, which do not survive a restart. Every window the heap creates is
+// bound to life, so revoking it fences them all.
+func assemble(dev *nvm.Device, lay layout, opts Options, life *nvm.Lease) (*Heap, error) {
 	unit := mpk.NewUnit(dev.Capacity())
+	unit.BindLease(life)
 	switch opts.Protection {
 	case ProtectMprotect:
 		unit.SetSwitchCost(opts.MprotectCost)
@@ -275,7 +275,8 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 		}
 	}
 	h := &Heap{dev: dev, unit: unit, lay: lay, opts: opts, tel: opts.Telemetry,
-		profHdr: lay.profArena().Headers(), bbHdr: lay.boxArena().Headers()}
+		profHdr: lay.profArena().Headers(), bbHdr: lay.boxArena().Headers(), life: life}
+	h.sup.stop = make(chan struct{})
 	h.sbThread = unit.NewThread(defaultRights(opts))
 	h.sbWin = mpk.NewWindow(dev, h.sbThread)
 	if h.tel != nil {
@@ -819,47 +820,13 @@ func (h *Heap) PtrAt(deviceOff uint64) (NVMPtr, error) {
 // SaveFile persists the heap image to path (atomic rename).
 func (h *Heap) SaveFile(path string) error { return h.dev.SaveFile(path) }
 
-// Close marks the heap unusable and stops the online scrubber (waiting for
-// an in-flight slice to finish). It does not save; call SaveFile first if
-// durability across process restarts is wanted.
-func (h *Heap) Close() error {
-	// Persist the final profile snapshot and seal the black-box ring while
-	// the heap is still open (both best-effort: a failed write leaves the
-	// previous generation valid).
-	_ = h.PersistProfile()
-	_ = h.FlushBlackbox()
-	h.sealBlackbox()
-	h.stopWatchdog()
-	if h.tel != nil {
-		// Detach the mirror so a shared registry stops staging into a
-		// closed heap.
-		h.tel.SetMirror(nil)
-	}
-	h.mu.Lock()
-	h.closed = true
-	stop := h.scrubStop
-	h.scrubStop = nil
-	h.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-h.scrubDone
-	}
-	return nil
-}
-
-func (h *Heap) isClosed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
-}
-
 // DrainRemoteFrees drains every sub-heap's remote-free ring to empty —
 // the quiesce point tests and tools use before auditing, and a hook for
 // applications that want an empty ring at a checkpoint. A no-op on heaps
 // without Options.RemoteFreeRings. Quarantined sub-heaps are skipped.
 func (h *Heap) DrainRemoteFrees() error {
-	if h.isClosed() {
-		return ErrClosed
+	if err := h.live(); err != nil {
+		return err
 	}
 	for _, s := range h.subheaps {
 		if err := s.drainRemote(); err != nil {

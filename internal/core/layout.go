@@ -106,7 +106,9 @@ const _ = uint64(shHeaderSize - shMirrorOff - shMirrorSlots*shMirrorSlotSize)
 // metadataKey is the MPK protection key guarding all heap metadata.
 const metadataKey = 1
 
-// layout holds the computed device geometry.
+// layout holds the computed device geometry. Its methods take pointer
+// receivers: Heap.resolve calls userBase on every pointer decode, and a
+// value receiver copies the whole struct each time.
 type layout struct {
 	subheaps    int
 	userSize    uint64
@@ -160,51 +162,51 @@ func computeLayout(subheaps int, userSize, metaSize, undoSize uint64, laneCount 
 }
 
 // subheapBase returns the device offset of sub-heap i.
-func (l layout) subheapBase(i int) uint64 {
+func (l *layout) subheapBase(i int) uint64 {
 	return l.subheapOff + uint64(i)*l.stride
 }
 
 // userBase returns the device offset of sub-heap i's user region.
-func (l layout) userBase(i int) uint64 {
+func (l *layout) userBase(i int) uint64 {
 	return l.subheapBase(i) + l.metaSize
 }
 
 // ringBase returns the device offset of sub-heap i's remote-free ring.
-func (l layout) ringBase(i int) uint64 {
+func (l *layout) ringBase(i int) uint64 {
 	return l.subheapBase(i) + shRingOff
 }
 
 // undoBase returns the device offset of sub-heap i's undo log.
-func (l layout) undoBase(i int) uint64 {
+func (l *layout) undoBase(i int) uint64 {
 	return l.subheapBase(i) + shHeaderSize
 }
 
 // laneBase returns the device offset of micro-log lane i.
-func (l layout) laneBase(i int) uint64 {
+func (l *layout) laneBase(i int) uint64 {
 	return sbLaneArena + uint64(i)*l.laneSize
 }
 
 // laneManifestBase returns the device offset of lane i's cache manifest.
 // Only meaningful when magSlots > 0.
-func (l layout) laneManifestBase(i int) uint64 {
+func (l *layout) laneManifestBase(i int) uint64 {
 	return l.manifestOff + uint64(i)*l.magSlots*8
 }
 
 // profArena returns the profile side-table arena geometry. Zero-capacity
 // (Valid() false) on images provisioned before the profiler existed.
-func (l layout) profArena() plog.SiteArena {
+func (l *layout) profArena() plog.SiteArena {
 	return plog.NewSiteArena(l.profOff, l.profSize)
 }
 
 // boxArena returns the black-box flight-recorder arena geometry.
 // Zero-capacity (Valid() false) on images provisioned before the recorder
 // existed.
-func (l layout) boxArena() plog.BoxArena {
+func (l *layout) boxArena() plog.BoxArena {
 	return plog.NewBoxArena(l.boxOff, l.boxSize)
 }
 
 // memblockGeometry computes sub-heap i's metadata layout.
-func (l layout) memblockGeometry(i int) (memblock.Geometry, error) {
+func (l *layout) memblockGeometry(i int) (memblock.Geometry, error) {
 	base := l.subheapBase(i)
 	metaBase := base + shHeaderSize + l.undoSize
 	metaAvail := l.metaSize - shHeaderSize - l.undoSize
@@ -216,7 +218,7 @@ func (l layout) memblockGeometry(i int) (memblock.Geometry, error) {
 }
 
 // locToDevice translates a persistent-pointer location to a device offset.
-func (l layout) locToDevice(sub uint16, off uint64) (uint64, error) {
+func (l *layout) locToDevice(sub uint16, off uint64) (uint64, error) {
 	if int(sub) >= l.subheaps || off >= l.userSize {
 		return 0, fmt.Errorf("%w: sub=%d off=%#x", ErrBadPointer, sub, off)
 	}
@@ -225,7 +227,7 @@ func (l layout) locToDevice(sub uint16, off uint64) (uint64, error) {
 
 // deviceToLoc translates a device offset in a user region back to pointer
 // parts.
-func (l layout) deviceToLoc(dev uint64) (uint16, uint64, error) {
+func (l *layout) deviceToLoc(dev uint64) (uint16, uint64, error) {
 	if dev < l.subheapOff {
 		return 0, 0, fmt.Errorf("%w: device offset %#x before sub-heaps", ErrBadPointer, dev)
 	}

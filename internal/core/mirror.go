@@ -164,8 +164,8 @@ func (s *subheap) noteMirrorMutation() {
 // deterministic commit point for tests and for callers about to snapshot
 // the device.
 func (h *Heap) SyncMirrors() error {
-	if h.isClosed() {
-		return ErrClosed
+	if err := h.live(); err != nil {
+		return err
 	}
 	return h.syncMirrors()
 }

@@ -37,8 +37,8 @@ import (
 // load instead of serving half-rebuilt metadata. User data in allocated
 // blocks is never touched.
 func (h *Heap) Repair(subheap int) error {
-	if h.isClosed() {
-		return ErrClosed
+	if err := h.live(); err != nil {
+		return err
 	}
 	if subheap < 0 || subheap >= len(h.subheaps) {
 		return fmt.Errorf("%w: sub-heap %d out of range", ErrBadPointer, subheap)
@@ -88,8 +88,8 @@ func (h *Heap) Repair(subheap int) error {
 // lock, so with Options.RecoveryParallelism > 1 the repairs run on the
 // recovery worker pool — the parallel walk poseidon-fsck -repair -j uses.
 func (h *Heap) RepairAll() (int, error) {
-	if h.isClosed() {
-		return 0, ErrClosed
+	if err := h.live(); err != nil {
+		return 0, err
 	}
 	var repaired atomic.Int64
 	errs := make([]error, len(h.subheaps))

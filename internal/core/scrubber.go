@@ -16,22 +16,18 @@ import (
 // attempts a Repair, so a corruption whose mirror survived heals without
 // operator involvement.
 
-// startScrubber launches the background scrubber when Options.OnlineScrub
-// is enabled. Raw-attached heaps never scrub (fsck -raw must observe the
-// image untouched).
+// startScrubber launches the background scrubber under the heap's
+// supervisor when Options.OnlineScrub is enabled.
 func (h *Heap) startScrubber() {
-	if h.opts.OnlineScrub.Interval <= 0 || h.rawAttach {
+	if h.opts.OnlineScrub.Interval <= 0 {
 		return
 	}
-	h.scrubStop = make(chan struct{})
-	h.scrubDone = make(chan struct{})
-	go h.scrubLoop(h.scrubStop, h.scrubDone)
+	h.sup.goWorker(h.scrubLoop)
 }
 
 // scrubLoop runs full scrub passes separated by Options.OnlineScrub.Interval
 // until stop closes.
-func (h *Heap) scrubLoop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+func (h *Heap) scrubLoop(stop <-chan struct{}) {
 	interval := h.opts.OnlineScrub.Interval
 	timer := time.NewTimer(interval)
 	defer timer.Stop()
@@ -72,8 +68,8 @@ func (h *Heap) scrubLoop(stop <-chan struct{}, done chan<- struct{}) {
 // Returns the first device-level error; audit findings quarantine (and
 // auto-repair) without failing the pass.
 func (h *Heap) ScrubPass() error {
-	if h.isClosed() {
-		return ErrClosed
+	if err := h.live(); err != nil {
+		return err
 	}
 	for _, s := range h.subheaps {
 		if err := h.scrubSubheap(s); err != nil {

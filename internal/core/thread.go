@@ -66,8 +66,8 @@ func (h *Heap) Thread() (*Thread, error) {
 // ThreadOn registers an allocation context pinned to a specific sub-heap
 // (benchmarks use this to model one thread per CPU).
 func (h *Heap) ThreadOn(shard int) (*Thread, error) {
-	if h.isClosed() {
-		return nil, ErrClosed
+	if err := h.live(); err != nil {
+		return nil, err
 	}
 	if shard < 0 || shard >= h.lay.subheaps {
 		return nil, fmt.Errorf("poseidon: shard %d out of range [0, %d)", shard, h.lay.subheaps)
@@ -132,11 +132,13 @@ func (t *Thread) Shard() int { return t.shard }
 // Heap returns the owning heap.
 func (t *Thread) Heap() *Heap { return t.h }
 
+// check is every Thread op's liveness guard: the thread's own flag, then
+// the heap's lifecycle word (one atomic load, no lock).
 func (t *Thread) check() error {
-	if t.closed || t.h.isClosed() {
+	if t.closed {
 		return ErrClosed
 	}
-	return nil
+	return t.h.live()
 }
 
 // allocShard resolves the sub-heap Alloc/TxAlloc should use: normally the

@@ -138,7 +138,7 @@ func (s *subheap) trimMetadata() (uint64, error) {
 	var punched uint64
 	for l := levels; l < len(g.LevelOff); l++ {
 		size := g.LevelCap[l] * memblock.RecordSize
-		if err := s.win.Device().PunchHole(g.LevelOff[l], size); err != nil {
+		if err := s.win.PunchHole(g.LevelOff[l], size); err != nil {
 			return punched, err
 		}
 		punched += size

@@ -9,11 +9,10 @@ package core
 // (EventStall, de-duplicated per lock acquisition by token), mirrored into
 // the black box, and counted into poseidon_stalls_total. Every tick also
 // publishes staged black-box records, so the ring stays near-current even on
-// an idle heap.
+// an idle heap. The goroutine runs under the heap's supervisor (lifecycle.go).
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"poseidon/internal/obs"
@@ -22,9 +21,6 @@ import (
 type watchdog struct {
 	threshold time.Duration
 	interval  time.Duration
-	stop      chan struct{}
-	done      chan struct{}
-	halted    sync.Once
 	// lastToken de-duplicates reports: one EventStall per stalled lock
 	// acquisition per sub-heap, no matter how many ticks it stays stalled.
 	// Touched only by the watchdog goroutine.
@@ -32,8 +28,10 @@ type watchdog struct {
 }
 
 // startWatchdog launches the watchdog goroutine when configured. Called
-// single-threaded from Create/Load before the heap is shared, so the lock
-// sites' h.wd nil check never races a write.
+// from startSupervisor before the heap is shared, so the lock sites' h.wd
+// nil check never races a write; h.wd stays set after the supervisor stops
+// the goroutine, so the lock sites keep their histograms without a racy
+// nil-out.
 func (h *Heap) startWatchdog() {
 	if h.opts.Watchdog.StallThreshold <= 0 || h.tel == nil {
 		return
@@ -41,37 +39,20 @@ func (h *Heap) startWatchdog() {
 	w := &watchdog{
 		threshold: h.opts.Watchdog.StallThreshold,
 		interval:  h.opts.Watchdog.Interval,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 		lastToken: make([]uint64, len(h.subheaps)),
 	}
 	h.wd = w
-	go h.watchdogLoop(w)
+	h.sup.goWorker(func(stop <-chan struct{}) { h.watchdogLoop(w, stop) })
 }
 
-// stopWatchdog halts the goroutine (idempotent) and waits for it. h.wd
-// stays set so the lock sites keep their histograms without a racy nil-out.
-func (h *Heap) stopWatchdog() {
-	w := h.wd
-	if w == nil {
-		return
-	}
-	w.halted.Do(func() {
-		close(w.stop)
-		<-w.done
-	})
-}
-
-func (h *Heap) watchdogLoop(w *watchdog) {
-	defer close(w.done)
+// watchdogLoop scans and drains every interval until stop closes. Close
+// publishes whatever was staged after the last tick.
+func (h *Heap) watchdogLoop(w *watchdog, stop <-chan struct{}) {
 	t := time.NewTicker(w.interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-w.stop:
-			// Final drain so records staged after the last tick reach the
-			// ring before Close seals the header.
-			_ = h.FlushBlackbox()
+		case <-stop:
 			return
 		case <-t.C:
 			h.watchdogScan(w)

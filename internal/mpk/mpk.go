@@ -91,6 +91,10 @@ type Unit struct {
 	pageKeys   []Key
 	switchSpin int  // busy iterations per WRPKRU, modeling its cost
 	sealed     bool // ERIM/Hodor-style inspection: only the Authority switches
+	// lease, when set, fences every store issued through this unit's
+	// windows once the attach generation is revoked. Threads copy it, so
+	// the store path reaches it in one load.
+	lease *nvm.Lease
 
 	switches atomic.Uint64 // WRPKRU executions
 }
@@ -106,6 +110,11 @@ func NewUnit(capacity uint64) *Unit {
 // (the default) models the instruction as free; benchmarks calibrate it to
 // model MPK (~23 cycles) or mprotect (~a syscall).
 func (u *Unit) SetSwitchCost(iterations int) { u.switchSpin = iterations }
+
+// BindLease ties the unit's windows to an attach generation: once l is
+// revoked, every store through a window of a thread created afterwards
+// fails with nvm.ErrFenced. Call before creating threads.
+func (u *Unit) BindLease(l *nvm.Lease) { u.lease = l }
 
 // Switches returns how many WRPKRU executions have occurred on this unit.
 func (u *Unit) Switches() uint64 { return u.switches.Load() }
@@ -189,15 +198,16 @@ func (u *Unit) chargeSwitch() {
 // A Thread must not be shared between goroutines (PKRU is core-local state;
 // sharing one would be the same bug as sharing a CPU register).
 type Thread struct {
-	unit *Unit
-	pkru [NumKeys]Rights
+	unit  *Unit
+	pkru  [NumKeys]Rights
+	lease *nvm.Lease // the unit's attach generation; nil = never fenced
 }
 
 // NewThread creates a thread with the given initial rights applied to every
 // key (hardware resets PKRU to all-rights-granted; a hardened runtime starts
 // with the metadata key write-disabled).
 func (u *Unit) NewThread(initial Rights) *Thread {
-	t := &Thread{unit: u}
+	t := &Thread{unit: u, lease: u.lease}
 	for k := range t.pkru {
 		t.pkru[k] = initial
 	}

@@ -279,3 +279,37 @@ func TestProtectionErrorIsNotWrapped(t *testing.T) {
 		t.Fatalf("out-of-range write err = %v", err)
 	}
 }
+
+func TestRevokedLeaseFencesEveryStore(t *testing.T) {
+	u, d := newUnitDev(t, 4)
+	u.BindLease(d.Acquire())
+	w := NewWindow(d, u.NewThread(RightsRW))
+	if err := w.WriteU64(0, 7); err != nil {
+		t.Fatal(err)
+	}
+	d.Acquire() // a successor attaches: the unit's generation is revoked
+	stores := map[string]func() error{
+		"Write":      func() error { return w.Write(8, []byte{1}) },
+		"WriteU64":   func() error { return w.WriteU64(8, 1) },
+		"WriteU32":   func() error { return w.WriteU32(8, 1) },
+		"WriteU16":   func() error { return w.WriteU16(8, 1) },
+		"WriteU8":    func() error { return w.WriteU8(8, 1) },
+		"Zero":       func() error { return w.Zero(0, 8) },
+		"Flush":      func() error { return w.Flush(0, 8) },
+		"Persist":    func() error { return w.Persist(8, []byte{1}) },
+		"PersistU64": func() error { return w.PersistU64(8, 1) },
+		"PunchHole":  func() error { return w.PunchHole(0, nvm.ChunkSize) },
+	}
+	for name, store := range stores {
+		if err := store(); !errors.Is(err, nvm.ErrFenced) {
+			t.Errorf("%s through a revoked window: %v, want ErrFenced", name, err)
+		}
+	}
+	// Loads are not fenced, and nothing above reached the device.
+	if v, err := w.ReadU64(0); err != nil || v != 7 {
+		t.Fatalf("ReadU64 = %d, %v; want 7, nil", v, err)
+	}
+	if v, _ := w.ReadU64(8); v != 0 {
+		t.Fatalf("a fenced store landed: word 8 = %d", v)
+	}
+}

@@ -9,7 +9,9 @@ import "poseidon/internal/nvm"
 //
 // All of Poseidon's own stores, and all user stores in the examples, go
 // through a Window, so the metadata region is protected from both stray
-// program writes and allocator bugs.
+// program writes and allocator bugs. The same funnel fences a detached
+// heap: once the unit's attach generation is revoked, every store, zero,
+// flush and hole punch returns nvm.ErrFenced without touching the device.
 type Window struct {
 	dev    *nvm.Device
 	thread *Thread
@@ -41,6 +43,14 @@ func (w Window) Device() *nvm.Device { return w.dev }
 // Thread returns the bound thread.
 func (w Window) Thread() *Thread { return w.thread }
 
+// fenced refuses a store through a revoked attach generation.
+func (w Window) fenced() error {
+	if l := w.thread.lease; l != nil && l.Revoked() {
+		return nvm.ErrFenced
+	}
+	return nil
+}
+
 func (w Window) faultStore(off, n uint64) {
 	if e := w.thread.checkStore(off, n); e != nil {
 		panic(e)
@@ -55,6 +65,9 @@ func (w Window) faultLoad(off, n uint64) {
 
 // Write stores b at off, faulting if the PKRU denies any covered page.
 func (w Window) Write(off uint64, b []byte) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	w.faultStore(off, uint64(len(b)))
 	if err := w.dev.Write(off, b); err != nil {
 		return err
@@ -73,6 +86,9 @@ func (w Window) Read(off uint64, b []byte) error {
 
 // WriteU64 stores a little-endian 8-byte value.
 func (w Window) WriteU64(off uint64, v uint64) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	w.faultStore(off, 8)
 	if err := w.dev.WriteU64(off, v); err != nil {
 		return err
@@ -91,6 +107,9 @@ func (w Window) ReadU64(off uint64) (uint64, error) {
 
 // WriteU32 stores a little-endian 4-byte value.
 func (w Window) WriteU32(off uint64, v uint32) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	w.faultStore(off, 4)
 	if err := w.dev.WriteU32(off, v); err != nil {
 		return err
@@ -109,6 +128,9 @@ func (w Window) ReadU32(off uint64) (uint32, error) {
 
 // WriteU16 stores a little-endian 2-byte value.
 func (w Window) WriteU16(off uint64, v uint16) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	w.faultStore(off, 2)
 	if err := w.dev.WriteU16(off, v); err != nil {
 		return err
@@ -127,6 +149,9 @@ func (w Window) ReadU16(off uint64) (uint16, error) {
 
 // WriteU8 stores one byte.
 func (w Window) WriteU8(off uint64, v uint8) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	w.faultStore(off, 1)
 	if err := w.dev.WriteU8(off, v); err != nil {
 		return err
@@ -145,6 +170,9 @@ func (w Window) ReadU8(off uint64) (uint8, error) {
 
 // Zero clears [off, off+n).
 func (w Window) Zero(off, n uint64) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	w.faultStore(off, n)
 	if err := w.dev.Zero(off, n); err != nil {
 		return err
@@ -158,6 +186,9 @@ func (w Window) Zero(off, n uint64) error {
 // Flush persists the covering cachelines (no protection check: clwb on a
 // read-only page is legal).
 func (w Window) Flush(off, n uint64) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	if err := w.dev.Flush(off, n); err != nil {
 		return err
 	}
@@ -165,6 +196,15 @@ func (w Window) Flush(off, n uint64) error {
 		w.rec.Flush(off, n)
 	}
 	return nil
+}
+
+// PunchHole releases the backing of [off, off+n) (nvm.Device.PunchHole).
+// Like Flush it is not a PKRU-checked store, but it is fenced.
+func (w Window) PunchHole(off, n uint64) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
+	return w.dev.PunchHole(off, n)
 }
 
 // Fence orders prior flushes.
@@ -177,6 +217,9 @@ func (w Window) Fence() {
 
 // Persist writes, flushes and fences.
 func (w Window) Persist(off uint64, b []byte) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	w.faultStore(off, uint64(len(b)))
 	if err := w.dev.Persist(off, b); err != nil {
 		return err
@@ -191,6 +234,9 @@ func (w Window) Persist(off uint64, b []byte) error {
 
 // PersistU64 atomically stores and persists an 8-byte value.
 func (w Window) PersistU64(off uint64, v uint64) error {
+	if err := w.fenced(); err != nil {
+		return err
+	}
 	w.faultStore(off, 8)
 	if err := w.dev.PersistU64(off, v); err != nil {
 		return err

@@ -75,11 +75,16 @@ type CrashReport struct {
 // Crash simulates a power failure: the device reverts to its persistent
 // image, after the policy decides the fate of each dirty cacheline. The
 // device remains usable afterwards — reopening it models a post-crash
-// restart. Requires crash tracking.
+// restart — but the attach generation current at the crash is revoked.
+// Requires crash tracking.
 func (d *Device) Crash(policy CrashPolicy) (CrashReport, error) {
 	if !d.tracking {
 		return CrashReport{}, ErrTrackingDisabled
 	}
+	// Power failure ends the current attach: its holder's background
+	// writers stop (the lease hook runs here) before the image reverts,
+	// and its later stores are fenced.
+	d.revokeAttach()
 	var rng *rand.Rand
 	if policy.Mode == EvictRandom || policy.Mode == EvictTorn {
 		rng = rand.New(rand.NewSource(policy.Seed))

@@ -93,6 +93,11 @@ type Device struct {
 	// tap is the optional fence/flush latency outlier tap (tap.go); nil
 	// costs one atomic pointer load per Flush/Fence.
 	tap atomic.Pointer[LatencyTap]
+
+	// lease is the current attach generation (lease.go); gens counts the
+	// generations handed out.
+	lease atomic.Pointer[Lease]
+	gens  atomic.Uint64
 }
 
 // NewDevice creates a device of the configured capacity.

@@ -25,12 +25,14 @@ const (
 	EventProfileReset                    // persistent profile side-table was torn; profile reset
 	EventStall                           // watchdog saw an in-flight op exceed its deadline
 	EventBlackboxTorn                    // black-box ring tail was torn; timeline truncated
+	EventFenced                          // a heap's attach generation was revoked; heap detached
 	NumEventKinds
 )
 
 var eventKindNames = [NumEventKinds]string{
 	"quarantine", "transient_retry", "scrub_finding", "crash", "recovery", "violation",
 	"free_rejected", "repair", "health_change", "profile_reset", "stall", "blackbox_torn",
+	"fenced",
 }
 
 func (k EventKind) String() string {

@@ -208,6 +208,17 @@ func (t *Telemetry) SetMirror(m EventMirror) {
 	t.mirror.Store(&mirrorBox{m: m})
 }
 
+// ClearMirror detaches m if it is still the attached mirror, leaving a
+// later heap's mirror in place. Nil-safe on the registry.
+func (t *Telemetry) ClearMirror(m EventMirror) {
+	if t == nil {
+		return
+	}
+	if box := t.mirror.Load(); box != nil && box.m == m {
+		t.mirror.CompareAndSwap(box, nil)
+	}
+}
+
 // Emit appends a journal event and forwards the stamped entry to the
 // attached mirror, if any. Nil-safe. subheap is -1 when the event is not
 // sub-heap scoped.

@@ -120,6 +120,10 @@ var (
 	ErrBadSize     = core.ErrBadSize
 	ErrCorruptHeap = core.ErrCorruptHeap
 	ErrClosed      = core.ErrClosed
+	// ErrFenced reports use of a heap whose device crashed or was loaded
+	// again by another heap: the old heap is detached and refuses every
+	// store.
+	ErrFenced = core.ErrFenced
 	// ErrSubheapQuarantined reports an operation on a sub-heap that
 	// recovery took out of service (degrade-don't-die).
 	ErrSubheapQuarantined = core.ErrSubheapQuarantined
