@@ -45,7 +45,7 @@ func run() error {
 		save     = flag.String("save", "", "save the final heap image to this path (e.g. for a poseidon-fsck audit)")
 		profRate = flag.Int("profile-rate", 0, "sample 1-in-N allocations into the site profiler (0 = off); served at /debug/pprof/poseidon_heap")
 		trcRate  = flag.Int("trace-rate", 0, "sample 1-in-N operations as spans (0 = off); served at /debug/optrace")
-		optrace  = flag.String("optrace", "", "write the final op-span trace as Chrome trace-event JSON to this path")
+		optrace  = flag.String("optrace", "", "write the op-span trace of the last workload cycle, taken before its crash, as Chrome trace-event JSON to this path")
 		watchdog = flag.Duration("watchdog", 0, "stall-watchdog threshold (0 = off); stalls are journalled and recorded in the black box")
 		mags     = flag.Bool("mags", false, "per-thread block magazines (64 blocks x 8 classes)")
 		rings    = flag.Bool("rings", false, "remote-free rings for cross-sub-heap frees")
@@ -104,9 +104,16 @@ func run() error {
 			}
 		}()
 	}
+	// Every Load builds a fresh tracer, so the final heap holds only its
+	// own recovery span. The dump writes the trace of the last cycle that
+	// ran the workload, captured just before its crash.
+	var lastTrace []byte
 	if *optrace != "" {
 		defer func() {
-			b := cur.Load().TraceJSON()
+			b := lastTrace
+			if b == nil {
+				b = cur.Load().TraceJSON()
+			}
 			if werr := os.WriteFile(*optrace, b, 0o644); werr != nil {
 				fmt.Fprintln(os.Stderr, "poseidon-stress: writing optrace:", werr)
 			} else {
@@ -226,6 +233,9 @@ func run() error {
 		}
 		wg.Wait()
 		h.Device().DisarmFailpoint()
+		if *optrace != "" {
+			lastTrace = h.TraceJSON()
+		}
 
 		// Power failure with random cacheline survival, then restart.
 		crash, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictRandom, Prob: 0.5, Seed: *seed * int64(cycle+7)})

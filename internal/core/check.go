@@ -22,24 +22,24 @@ type SubheapReport struct {
 	AllocatedBlocks  uint64
 	FreeBlocks       uint64
 	PendingUndo      uint64
-	PendingRemote    uint64 // un-drained remote-free ring entries
+	PendingRemote    uint64   // un-drained remote-free ring entries
 	Problems         []string `json:",omitempty"`
 }
 
 // CheckReport is the result of a full heap consistency audit.
 type CheckReport struct {
-	Subheaps        int
-	Formatted       int
-	Quarantined     int    // sub-heaps out of service
+	Subheaps         int
+	Formatted        int
+	Quarantined      int    // sub-heaps out of service
 	QuarantinedBytes uint64 // user capacity lost to quarantine
-	AllocatedBlocks uint64
-	FreeBlocks      uint64
-	PendingUndo     uint64 // committed undo entries awaiting replay
-	PendingTx       uint64 // micro-log entries of open transactions
-	PendingRemote   uint64 // un-drained remote-free ring entries
-	PendingCached   uint64 // magazine-cached blocks recorded in lane manifests
-	Problems        []string
-	SubheapReports  []SubheapReport
+	AllocatedBlocks  uint64
+	FreeBlocks       uint64
+	PendingUndo      uint64 // committed undo entries awaiting replay
+	PendingTx        uint64 // micro-log entries of open transactions
+	PendingRemote    uint64 // un-drained remote-free ring entries
+	PendingCached    uint64 // magazine-cached blocks recorded in lane manifests
+	Problems         []string
+	SubheapReports   []SubheapReport
 }
 
 // OK reports whether the audit found no structural problems in any
@@ -103,24 +103,18 @@ func (h *Heap) Check() (CheckReport, error) {
 // block may be cached twice across all lanes (two magazines claiming the
 // same block would double-allocate it). Valid entries are counted, not
 // flagged — like pending ring entries, they are work recovery performs.
-// Caller holds the metadata grant.
+// Each lane is one bulk Manifest.Scan, so a failed read is one problem for
+// the whole lane. Caller holds the metadata grant.
 func (h *Heap) checkManifests(report *CheckReport) {
 	if h.lay.magSlots == 0 {
 		return
 	}
 	cached := map[uint64]string{}
+	var buf []byte
 	for i := 0; i < h.lay.laneCount; i++ {
-		base := h.lay.laneManifestBase(i)
-		for k := uint64(0); k < h.lay.magSlots; k++ {
-			word, err := h.sbWin.ReadU64(base + k*8)
-			if err != nil {
-				report.Problems = append(report.Problems,
-					fmt.Sprintf("lane %d manifest slot %d: read failed: %v", i, k, err))
-				continue
-			}
-			if word == 0 {
-				continue
-			}
+		man := plog.NewManifest(h.lay.laneManifestBase(i), h.lay.magSlots)
+		var err error
+		buf, err = man.Scan(h.sbWin, buf, func(k, word uint64) {
 			rel, shard, ok := plog.DecodeCacheEntry(word)
 			switch {
 			case !ok:
@@ -138,11 +132,15 @@ func (h *Heap) checkManifests(report *CheckReport) {
 				if prev, dup := cached[key]; dup {
 					report.Problems = append(report.Problems, fmt.Sprintf(
 						"%s: block sub=%d off=%#x already cached at %s", at, shard, rel, prev))
-					continue
+					return
 				}
 				cached[key] = at
 				report.PendingCached++
 			}
+		})
+		if err != nil {
+			report.Problems = append(report.Problems,
+				fmt.Sprintf("lane %d manifest: read failed: %v", i, err))
 		}
 	}
 }

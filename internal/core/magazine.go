@@ -289,36 +289,36 @@ func (t *Thread) magAdopt() {
 		words []uint64
 	}
 	byShard := map[int]*pending{}
-	for k := uint64(0); k < m.man.Slots(); k++ {
-		var word uint64
-		err := t.h.retry(func() error {
-			var e error
-			word, e = t.win.ReadU64(m.man.WordOff(k))
-			return e
+	bad := false
+	// Scan calls fn only after its read succeeded, so a retried read never
+	// leaves half a harvest behind.
+	err := t.h.retry(func() error {
+		_, err := m.man.Scan(t.win, nil, func(k, word uint64) {
+			if bad {
+				return
+			}
+			rel, shard, ok := plog.DecodeCacheEntry(word)
+			if !ok || int(shard) >= len(t.h.subheaps) || rel >= t.h.lay.userSize ||
+				t.h.subheaps[shard].isQuarantined() {
+				t.h.tel.Emit(obs.EventScrubFinding, -1, fmt.Sprintf(
+					"lane %d manifest slot %d: uncleanable entry %#x; magazines off for this thread",
+					t.laneI, k, word))
+				bad = true
+				return
+			}
+			p := byShard[int(shard)]
+			if p == nil {
+				p = &pending{}
+				byShard[int(shard)] = p
+			}
+			p.devs = append(p.devs, t.h.lay.userBase(int(shard))+rel)
+			p.words = append(p.words, k)
 		})
-		if err != nil {
-			m.disabled = true
-			return
-		}
-		if word == 0 {
-			continue
-		}
-		rel, shard, ok := plog.DecodeCacheEntry(word)
-		if !ok || int(shard) >= len(t.h.subheaps) || rel >= t.h.lay.userSize ||
-			t.h.subheaps[shard].isQuarantined() {
-			t.h.tel.Emit(obs.EventScrubFinding, -1, fmt.Sprintf(
-				"lane %d manifest slot %d: uncleanable entry %#x; magazines off for this thread",
-				t.laneI, k, word))
-			m.disabled = true
-			return
-		}
-		p := byShard[int(shard)]
-		if p == nil {
-			p = &pending{}
-			byShard[int(shard)] = p
-		}
-		p.devs = append(p.devs, t.h.lay.userBase(int(shard))+rel)
-		p.words = append(p.words, k)
+		return err
+	})
+	if err != nil || bad {
+		m.disabled = true
+		return
 	}
 	for shard, p := range byShard {
 		if _, err := t.h.subheaps[shard].flushCached(p.devs, m.man, p.words); err != nil {

@@ -108,6 +108,7 @@ func (h *Heap) forEachRecovery(n, par int, fn func(worker, task int) error) erro
 type recWorker struct {
 	th  *mpk.Thread
 	win mpk.Window
+	buf []byte // phase 2's manifest read buffer, reused lane to lane
 }
 
 // newRecWorkers builds par worker contexts. Threads are created through the
@@ -243,11 +244,14 @@ func (h *Heap) recoverFanout(par int) error {
 }
 
 // scanLane reads lane's micro log and cache manifest without mutating
-// anything, collecting the replay work into out. Invalid manifest entries
+// anything, collecting the replay work into out. Each touches the device
+// with one bulk read (plus the micro log's count word) and is decoded from
+// DRAM: the micro-log entries by MicroLog.Entries, the manifest by
+// Manifest.Scan into the worker's reused buffer. Invalid manifest entries
 // are journaled once and left in place for the audit. Safe to re-run (the
-// retry wrapper may): out and the findings are rebuilt from scratch on
-// every attempt, and the findings are journaled only after the scan
-// succeeds.
+// retry wrapper may): the micro-log harvest is rebuilt on every attempt,
+// Scan calls its fn only after its read succeeded, and the findings are
+// journaled only after the scan succeeds.
 func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 	err := h.retry(func() error {
 		out.tx = out.tx[:0]
@@ -286,27 +290,19 @@ func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 		return nil
 	}
 	var findings []string
+	man := plog.NewManifest(h.lay.laneManifestBase(lane), h.lay.magSlots)
 	err = h.retry(func() error {
-		out.man = out.man[:0]
-		findings = findings[:0]
-		man := plog.NewManifest(h.lay.laneManifestBase(lane), h.lay.magSlots)
-		for k := uint64(0); k < man.Slots(); k++ {
-			word, err := w.win.ReadU64(man.WordOff(k))
-			if err != nil {
-				return err
-			}
-			if word == 0 {
-				continue
-			}
+		var err error
+		w.buf, err = man.Scan(w.win, w.buf, func(k, word uint64) {
 			rel, shard, ok := plog.DecodeCacheEntry(word)
 			if !ok || int(shard) >= h.lay.subheaps || rel >= h.lay.userSize {
 				findings = append(findings, fmt.Sprintf(
 					"cache manifest %d slot %d: invalid entry %#x", lane, k, word))
-				continue
+				return
 			}
 			out.man = append(out.man, manItem{sub: int(shard), lane: lane, slot: k, rel: rel})
-		}
-		return nil
+		})
+		return err
 	})
 	if err != nil {
 		return wrapLaneErr("cache manifest", lane, err)

@@ -1,5 +1,11 @@
 package plog
 
+import (
+	"encoding/binary"
+
+	"poseidon/internal/mpk"
+)
+
 // Cache manifest: the persistent shadow of a thread's DRAM block magazine.
 //
 // Each micro-log lane owns a fixed arena of 8-byte manifest words right
@@ -76,3 +82,44 @@ func (m Manifest) Slots() uint64 { return m.slots }
 
 // WordOff returns the device offset of word i.
 func (m Manifest) WordOff(i uint64) uint64 { return m.base + i*8 }
+
+// Scan reads the whole manifest with one bulk w.Read — one protection
+// check, range check and fault hook over the arena, instead of one per
+// word — into buf, which is grown when too small and returned for reuse.
+// It then calls fn(slot, word) for every non-zero word in slot order.
+// Words are passed undecoded: what an undecodable or out-of-range entry
+// means is the caller's policy (recovery skips it, Check reports it,
+// magazine adoption disables itself). On a read error fn is not called.
+func (m Manifest) Scan(w mpk.Window, buf []byte, fn func(slot, word uint64)) ([]byte, error) {
+	n := m.slots * 8
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if err := w.Read(m.base, buf); err != nil {
+		return buf, err
+	}
+	// Most manifests are empty, so test a cacheline of eight words at once
+	// and decode only the lines holding an entry.
+	le := binary.LittleEndian
+	for k := uint64(0); k < m.slots; k += 8 {
+		line := buf[k*8 : min(k*8+64, n)]
+		if len(line) == 64 && zeroLine(line) {
+			continue
+		}
+		for j := range uint64(len(line) / 8) {
+			if word := le.Uint64(line[j*8:]); word != 0 {
+				fn(k+j, word)
+			}
+		}
+	}
+	return buf, nil
+}
+
+// zeroLine reports whether a 64-byte line holds only zero words.
+func zeroLine(l []byte) bool {
+	l = l[:64:64]
+	le := binary.LittleEndian
+	return le.Uint64(l[0:])|le.Uint64(l[8:])|le.Uint64(l[16:])|le.Uint64(l[24:])|
+		le.Uint64(l[32:])|le.Uint64(l[40:])|le.Uint64(l[48:])|le.Uint64(l[56:]) == 0
+}

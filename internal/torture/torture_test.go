@@ -177,8 +177,8 @@ func TestSweepMagazineTail(t *testing.T) {
 
 func TestSinglePointReproducerMode(t *testing.T) {
 	res, err := Run(Config{
-		Ops:   4,
-		Seed:  7,
+		Ops:         4,
+		Seed:        7,
 		Modes:       []nvm.EvictMode{nvm.EvictTorn},
 		Point:       25,
 		SinglePoint: true,
